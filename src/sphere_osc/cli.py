@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import spectrum as spectrum_mod
 from . import verify as verify_mod
@@ -30,23 +28,6 @@ _PHYSICAL_FLAGS = ("omega1", "omega2", "radius", "mass", "hbar")
 
 class UsageError(Exception):
     """Bad flag combination that argparse alone cannot catch."""
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SPHERE_OSC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Order-preserving map, optionally fanned out over SPHERE_OSC_THREADS threads."""
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt_cell(v) -> str:
@@ -75,7 +56,11 @@ def _emit(config: dict, header: list[str], rows: list[tuple], out: str | None, f
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
 
 
@@ -176,20 +161,10 @@ def _cmd_verify(args) -> int:
               "perturb_energy": args.perturb_energy, "format": args.format}
     factor = 1.0 + args.perturb_energy
 
-    fd_by_l = {
-        L: verify_mod.fd_eigensolve(params, L, args.levels + 1, args.grid_points)
-        for L in range(args.lmax + 1)
-    }
-    states = [(n, L) for L in range(args.lmax + 1) for n in range(args.levels + 1)]
-
-    def build(state):
-        n, L = state
-        return verify_mod.verification_report(
-            params, QuantumNumbers(n, L),
-            grid_points=args.grid_points, quad_nodes=args.quad_nodes,
-            energy_factor=factor, fd_epsilon=float(fd_by_l[L][n]),
-        )
-    reports = _pmap(build, states)
+    n_values = list(range(args.levels + 1))
+    reports = [rep for L in range(args.lmax + 1)
+               for rep in verify_mod._verify_block(params, L, n_values, args.grid_points,
+                                                   args.quad_nodes, factor)]
 
     rows = []
     all_ok = True

@@ -106,6 +106,26 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
     return math.exp(envelope) * poly
 
 
+def _interior_angles(thetas) -> np.ndarray:
+    th = np.asarray(thetas, dtype=float)
+    if np.any(th <= 0.0) or np.any(th >= math.pi):
+        raise DomainError("grid evaluation requires angles interior to (0, pi)")
+    return th
+
+
+def _envelope_terms(prefactor, th: np.ndarray):
+    """The sin(theta/2) and cos(theta/2) power terms of log|F|; they do not depend on n_theta."""
+    _, e0, e1, _, _ = prefactor
+    return e0 * np.log(np.sin(0.5 * th)), e1 * np.log(np.cos(0.5 * th))
+
+
+def _log_abs_F(log_norm: float, envelope_terms, poly: np.ndarray):
+    sin_term, cos_term = envelope_terms
+    with np.errstate(divide="ignore"):
+        log_abs = log_norm + sin_term + cos_term + np.log(np.abs(poly))
+    return log_abs, np.sign(poly)
+
+
 def log_abs_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas):
     """(log|F|, sign) over an array of interior angles.
 
@@ -113,15 +133,28 @@ def log_abs_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas):
     weight factors without ever forming an overflowing intermediate; the
     sign is 0 exactly where the polynomial factor vanishes.
     """
-    th = np.asarray(thetas, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= math.pi):
-        raise DomainError("grid evaluation requires angles interior to (0, pi)")
-    log_norm, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
+    th = _interior_angles(thetas)
+    prefactor = _log_prefactor_halfangle(params, qn)
+    log_norm, _, _, mu1, mu2 = prefactor
     poly = special.jacobi_eval(qn.n_theta, JacobiParams(mu2, mu1), np.cos(th))
-    envelope = log_norm + e0 * np.log(np.sin(0.5 * th)) + e1 * np.log(np.cos(0.5 * th))
-    with np.errstate(divide="ignore"):
-        log_abs = envelope + np.log(np.abs(poly))
-    return log_abs, np.sign(poly)
+    return _log_abs_F(log_norm, _envelope_terms(prefactor, th), poly)
+
+
+def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas):
+    """Yield log_abs_F_grid of the states n_theta = 0..n_max at one L, in turn.
+
+    One Jacobi sweep gives every polynomial factor and the angle terms are
+    shared, so each state costs one pass over the grid; every yielded pair
+    equals log_abs_F_grid of its state bit for bit.
+    """
+    th = _interior_angles(thetas)
+    prefactor = _log_prefactor_halfangle(params, QuantumNumbers(0, L))
+    _, _, _, mu1, mu2 = prefactor
+    terms = _envelope_terms(prefactor, th)
+    polys = special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), np.cos(th))
+    for n, poly in enumerate(polys):
+        log_norm = _log_prefactor_halfangle(params, QuantumNumbers(n, L))[0]
+        yield _log_abs_F(log_norm, terms, poly)
 
 
 def eval_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas) -> np.ndarray:

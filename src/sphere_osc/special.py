@@ -91,28 +91,37 @@ def _check_param(name: str, v: float):
         )
 
 
-def jacobi_eval(n: int, params: JacobiParams, x):
-    """Jacobi polynomial P_n^(alpha,beta)(x) on [-1, 1].
-
-    Three-term recurrence in the degree; `x` may be a scalar or an array.
-    """
+def jacobi_sweep(n: int, params: JacobiParams, x):
+    """Yield P_0, ..., P_n^(alpha,beta)(x) in turn from the three-term recurrence in the degree."""
     n = _check_degree(n)
     _check_param("alpha", params.alpha)
     _check_param("beta", params.beta)
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1.0):
-        raise DomainError("jacobi_eval requires |x| <= 1")
+        raise DomainError("Jacobi polynomials require |x| <= 1")
     a, b = params.alpha, params.beta
     p = np.ones_like(xa)
+    yield p
     if n >= 1:
         pm1 = p
         p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * xa
+        yield p
         for k in range(2, n + 1):
             s = 2.0 * k + a + b
             c1 = 2.0 * k * (k + a + b) * (s - 2.0)
             c2 = (s - 1.0) * (s * (s - 2.0) * xa + (a - b) * (a + b))
             c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
             p, pm1 = (c2 * p - c3 * pm1) / c1, p
+            yield p
+
+
+def jacobi_eval(n: int, params: JacobiParams, x):
+    """Jacobi polynomial P_n^(alpha,beta)(x) on [-1, 1], the last term of jacobi_sweep.
+
+    `x` may be a scalar or an array.
+    """
+    for p in jacobi_sweep(n, params, x):
+        pass
     return float(p) if np.ndim(x) == 0 else p
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from . import eigenfunctions, model, spectrum
 from .errors import DomainError
@@ -25,6 +24,9 @@ ODE_RESIDUAL_TOL = 1.0e-8
 ORACLE_TOL = 1.0e-6
 
 _LOG2 = math.log(2.0)
+
+# Sign changes are counted on this many interior points of (0, pi).
+NODE_GRID_POINTS = 10_000
 
 # The reduced eigenfunction behaves like (distance)^p at a pole, p = mu + 1/2.
 # Pointwise sampling of the inverse-square potential converges like
@@ -101,6 +103,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
     if n == 1:
         return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), alpha=alpha, beta=beta)
+    from scipy.linalg import eigh_tridiagonal
 
     bsq = np.empty(n - 1)
     bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
@@ -126,36 +129,42 @@ def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float
     )
 
 
+def _matched_rule(params: OscillatorParams, L: int, num_nodes: int):
+    """Gauss-Jacobi rule matched to the weight exponents of level L.
+
+    Returns the rule (alpha = mu_L2, beta = mu_L1), its nodes as angles
+    theta = arccos(x), and the log measure factor at the nodes.
+    """
+    mu1 = model.mu(params, L, 1)
+    mu2 = model.mu(params, L, 2)
+    rule = gauss_jacobi_rule(num_nodes, mu2, mu1)
+    return rule, np.arccos(rule.nodes), _measure_log(params, rule.nodes, mu1, mu2)
+
+
+def _norm_integral(rule: QuadratureRule, log_abs: np.ndarray, sign: np.ndarray,
+                   measure_log: np.ndarray) -> float:
+    g = np.where(sign == 0.0, 0.0, np.exp(2.0 * log_abs + measure_log))
+    return float(rule.weights @ g)
+
+
 def normalization_check(params: OscillatorParams, qn: QuantumNumbers, num_nodes: int = 200) -> float:
     """Quadrature value of R^N * integral sin^(N-1)(theta) F^2 dtheta (target: 1).
 
     Change of variable x = cos(theta) with the Gauss-Jacobi rule matched to
     the state's weight exponents (alpha = mu_L2, beta = mu_L1).
     """
-    mu1 = model.mu(params, qn.L, 1)
-    mu2 = model.mu(params, qn.L, 2)
-    rule = gauss_jacobi_rule(num_nodes, mu2, mu1)
-    theta = np.arccos(rule.nodes)
+    rule, theta, measure_log = _matched_rule(params, qn.L, num_nodes)
     log_abs, sign = eigenfunctions.log_abs_F_grid(params, qn, theta)
-    log_g = 2.0 * log_abs + _measure_log(params, rule.nodes, mu1, mu2)
-    g = np.where(sign == 0.0, 0.0, np.exp(log_g))
-    return float(rule.weights @ g)
+    return _norm_integral(rule, log_abs, sign, measure_log)
 
 
 def overlap_matrix(params: OscillatorParams, L: int, n_max: int, num_nodes: int = 200) -> np.ndarray:
     """Pairwise overlaps of the states n_theta = 0..n_max at fixed L (target: identity)."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    mu1 = model.mu(params, L, 1)
-    mu2 = model.mu(params, L, 2)
-    rule = gauss_jacobi_rule(num_nodes, mu2, mu1)
-    theta = np.arccos(rule.nodes)
-    half_measure = 0.5 * _measure_log(params, rule.nodes, mu1, mu2)
-    rows = []
-    for n in range(n_max + 1):
-        log_abs, sign = eigenfunctions.log_abs_F_grid(params, QuantumNumbers(n, L), theta)
-        rows.append(sign * np.exp(log_abs + half_measure))
-    a = np.array(rows)
+    rule, theta, measure_log = _matched_rule(params, L, num_nodes)
+    a = np.array([sign * np.exp(log_abs + 0.5 * measure_log)
+                  for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)])
     return a @ (rule.weights[:, None] * a.T)
 
 
@@ -269,6 +278,8 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     """
     if not 1 <= k_levels <= 20:
         raise DomainError(f"k_levels must be in 1..20, got {k_levels!r}")
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     op = build_discretized_operator(params, L, grid_points)
     try:
         vals = eigh_tridiagonal(op.diagonal, op.offdiag, eigvals_only=True,
@@ -286,6 +297,8 @@ def fd_eigenvectors(params: OscillatorParams, L: int, k_levels: int, grid_points
     R^N * sum sin^(N-1)(theta_i) F_i^2 h = 1 and sign-aligned to be positive
     at the grid point nearest theta = pi/2.
     """
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     op = build_discretized_operator(params, L, grid_points)
     try:
         vals, vecs = eigh_tridiagonal(op.diagonal, op.offdiag,
@@ -307,13 +320,20 @@ def fd_eigenvectors(params: OscillatorParams, L: int, k_levels: int, grid_points
     return vals, th, np.array(f_vecs)
 
 
-def node_count(params: OscillatorParams, qn: QuantumNumbers, grid_points: int = 10_000) -> int:
-    """Sign changes of the eigenfunction on the open interval (0, pi)."""
-    th = np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
-    vals = eigenfunctions.eval_F_grid(params, qn, th)
+def _node_grid(grid_points: int) -> np.ndarray:
+    return np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
+
+
+def _sign_changes(vals: np.ndarray) -> int:
     signs = np.sign(vals)
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def node_count(params: OscillatorParams, qn: QuantumNumbers,
+               grid_points: int = NODE_GRID_POINTS) -> int:
+    """Sign changes of the eigenfunction on the open interval (0, pi)."""
+    return _sign_changes(eigenfunctions.eval_F_grid(params, qn, _node_grid(grid_points)))
 
 
 def loglog_slope(xs, ys) -> float:
@@ -352,27 +372,44 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
     return table
 
 
+def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
+                  quad_nodes: int, energy_factor: float) -> list[VerificationReport]:
+    """Run every oracle against the states n_theta in n_values at one L.
+
+    The FD eigensolve, the matched quadrature rule and the Jacobi sweeps on
+    the quadrature and node-count grids depend on L only, so each is built
+    once and shared by all n_theta.  The ODE residual stays per state: its
+    step adapts to the level.
+    """
+    n_max = max(n_values)
+    fd = fd_eigensolve(params, L, n_max + 1, grid_points)
+    rule, theta, measure_log = _matched_rule(params, L, quad_nodes)
+    norms = [_norm_integral(rule, log_abs, sign, measure_log)
+             for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
+    nodes = [_sign_changes(sign * np.exp(log_abs))
+             for log_abs, sign in eigenfunctions.log_abs_F_rows(
+                 params, L, n_max, _node_grid(NODE_GRID_POINTS))]
+    reports = []
+    for n in n_values:
+        qn = QuantumNumbers(n, L)
+        eps = spectrum.epsilon(params, qn) * energy_factor
+        reports.append(VerificationReport(
+            state=qn,
+            normalization_error=abs(norms[n] - 1.0),
+            max_ode_residual=ode_residual(params, qn, energy=eps * params.energy_unit),
+            oracle_energy_relerr=abs(float(fd[n]) - eps) / max(abs(eps), 1.0),
+            node_count_match=nodes[n] == n,
+        ))
+    return reports
+
+
 def verification_report(params: OscillatorParams, qn: QuantumNumbers,
                         grid_points: int = 8000, quad_nodes: int = 200,
-                        energy_factor: float = 1.0,
-                        fd_epsilon: float | None = None) -> VerificationReport:
+                        energy_factor: float = 1.0) -> VerificationReport:
     """Run every oracle against one state and collect the outcome.
 
     `energy_factor` multiplies the closed-form level before the residual and
-    oracle comparisons (the perturbation detector hook); `fd_epsilon` lets a
-    caller reuse a finite-difference eigenvalue computed for a batch.
+    oracle comparisons (the perturbation detector hook).
     """
-    eps = spectrum.epsilon(params, qn) * energy_factor
-    norm_err = abs(normalization_check(params, qn, quad_nodes) - 1.0)
-    resid = ode_residual(params, qn, energy=eps * params.energy_unit)
-    if fd_epsilon is None:
-        fd_epsilon = float(fd_eigensolve(params, qn.L, qn.n_theta + 1, grid_points)[qn.n_theta])
-    oracle_relerr = abs(fd_epsilon - eps) / max(abs(eps), 1.0)
-    nodes_ok = node_count(params, qn) == qn.n_theta
-    return VerificationReport(
-        state=qn,
-        normalization_error=norm_err,
-        max_ode_residual=resid,
-        oracle_energy_relerr=oracle_relerr,
-        node_count_match=nodes_ok,
-    )
+    return _verify_block(params, qn.L, [qn.n_theta], grid_points, quad_nodes,
+                         energy_factor)[0]

@@ -125,6 +125,12 @@ class TestVerifyCommand:
         _, rows = parse_csv(res.stdout)
         assert any(r[-1] == "false" for r in rows)
 
+    def test_golden_w5_2(self):
+        res = run_cli(["verify", "--dim", "3", "--w1", "5", "--w2", "2",
+                       "--levels", "4", "--lmax", "2"])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (GOLDEN / "verify_dim3_w5_2.csv").read_text()
+
     def test_thread_count_invariance(self):
         args = ["verify", "--dim", "2", "--w1", "1", "--w2", "1",
                 "--levels", "1", "--lmax", "1"]
@@ -178,3 +184,39 @@ class TestExitCodes:
 
     def test_domain_error_negative_coupling(self):
         assert run_cli(["spectrum", "--dim", "2", "--w1", "-2"]).returncode == 3
+
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        res = run_cli(["spectrum", "--dim", "2", "--out", str(out)])
+        assert res.returncode == 2
+        assert "usage error: cannot write --out" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+# Runs in a fresh interpreter so modules imported by other tests do not count.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import sphere_osc
+from sphere_osc.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["spectrum", "--dim", "3", "--w1", "5", "--w2", "2"]),
+        main(["wavefunction", "--dim", "3", "--w1", "5", "--w2", "2", "--ntheta", "4",
+              "--l", "2", "--grid", "50", "--projected"]),
+        main(["euclid-limit", "--dim", "3", "--chi", "1.5", "--nr", "1", "--l", "1",
+              "--radii", "1.5,3,6,12"]),
+    ]
+    assert codes == [0, 0, 0], codes
+    assert scipy_loaded() == [], scipy_loaded()
+    assert main(["verify", "--dim", "2", "--levels", "0", "--lmax", "0"]) == 0
+assert "scipy.linalg" in scipy_loaded()
+"""
+
+
+def test_scipy_loads_only_for_verify():
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

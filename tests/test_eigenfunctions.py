@@ -10,6 +10,8 @@ from sphere_osc.eigenfunctions import (
     eval_F_gegenbauer,
     eval_F_grid,
     eval_f_euclidean,
+    log_abs_F_grid,
+    log_abs_F_rows,
     project_to_plane,
     project_to_plane_jacobi,
     r_from_theta,
@@ -85,6 +87,16 @@ class TestHalfAngleForm:
             p = OscillatorParams.from_couplings(N, w1, w2, R=R)
             for (n, L) in [(0, 0), (3, 1), (2, 2)]:
                 assert abs(normalization_check(p, QuantumNumbers(n, L)) - 1.0) <= 1e-10
+
+    def test_rows_match_single_states(self):
+        p = OscillatorParams.from_couplings(3, 5.0, 2.0)
+        th = np.linspace(0.01, math.pi - 0.01, 300)
+        rows = list(log_abs_F_rows(p, 2, 7, th))
+        assert len(rows) == 8
+        for n, (log_abs, sign) in enumerate(rows):
+            want_log, want_sign = log_abs_F_grid(p, QuantumNumbers(n, 2), th)
+            assert np.array_equal(log_abs, want_log)
+            assert np.array_equal(sign, want_sign)
 
     def test_node_counts(self):
         p = OscillatorParams.from_couplings(3, 2.0, 1.0)

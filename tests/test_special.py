@@ -11,6 +11,7 @@ from sphere_osc.special import (
     jacobi_eval,
     jacobi_log_endpoint,
     jacobi_log_norm_sq,
+    jacobi_sweep,
     laguerre_eval,
     log_gamma,
 )
@@ -93,6 +94,16 @@ class TestJacobi:
         vals = jacobi_eval(3, JacobiParams(0.5, 1.5), xs)
         assert vals.shape == xs.shape
         assert rel(vals[2], jacobi_eval(3, JacobiParams(0.5, 1.5), float(xs[2]))) <= 1e-15
+
+    def test_sweep_rows_are_jacobi_eval(self):
+        xs = np.cos(np.linspace(0.01, 3.1, 37))
+        p = JacobiParams(4.3, 1.7)
+        rows = list(jacobi_sweep(6, p, xs))
+        assert len(rows) == 7
+        for n, row in enumerate(rows):
+            assert np.array_equal(row, jacobi_eval(n, p, xs))
+        with pytest.raises(DomainError):
+            list(jacobi_sweep(2, p, [0.5, 1.5]))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
