@@ -28,7 +28,6 @@ from .spectrum import (
     spectrum_table,
 )
 from .eigenfunctions import (
-    WavefunctionSample,
     eval_F,
     eval_F_form_a,
     eval_F_gegenbauer,
@@ -73,7 +72,6 @@ __all__ = [
     "energy_omega2_zero",
     "energy_euclidean",
     "spectrum_table",
-    "WavefunctionSample",
     "eval_F",
     "eval_F_form_a",
     "eval_F_gegenbauer",

@@ -14,7 +14,7 @@ import sys
 
 from . import spectrum as spectrum_mod
 from . import verify as verify_mod
-from .eigenfunctions import WavefunctionSample, eval_F_grid, r_from_theta
+from .eigenfunctions import eval_F_grid, r_from_theta
 from .errors import DomainError
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
@@ -81,19 +81,26 @@ def _add_sphere_flags(p: argparse.ArgumentParser):
     p.add_argument("--natural", action="store_true", help="force hbar = m = 1")
 
 
+def _mass_hbar(args) -> tuple[float, float]:
+    """m and hbar from --mass/--hbar (default 1); --natural pins both to 1."""
+    if args.natural and (args.mass is not None or args.hbar is not None):
+        raise UsageError("--natural fixes hbar = m = 1 and conflicts with --mass/--hbar")
+    return (args.mass if args.mass is not None else 1.0,
+            args.hbar if args.hbar is not None else 1.0)
+
+
 def _resolve_params(args) -> tuple[OscillatorParams, dict]:
     w_given = args.w1 is not None or args.w2 is not None
     phys_given = any(getattr(args, name) is not None for name in _PHYSICAL_FLAGS)
     if w_given and phys_given:
         raise UsageError("--w1/--w2 are mutually exclusive with the physical parameter group")
-    if args.natural and (args.mass is not None or args.hbar is not None):
-        raise UsageError("--natural fixes hbar = m = 1 and conflicts with --mass/--hbar")
+    m, hbar = _mass_hbar(args)
     if phys_given:
         params = OscillatorParams(
             N=args.dim,
             R=args.radius if args.radius is not None else 1.0,
-            m=1.0 if args.natural else (args.mass if args.mass is not None else 1.0),
-            hbar=1.0 if args.natural else (args.hbar if args.hbar is not None else 1.0),
+            m=m,
+            hbar=hbar,
             omega1=args.omega1 if args.omega1 is not None else 0.0,
             omega2=args.omega2 if args.omega2 is not None else 0.0,
         )
@@ -137,17 +144,17 @@ def _cmd_wavefunction(args) -> int:
     thetas = [(j + 1) * math.pi / (args.grid + 1) for j in range(args.grid)]
     values = eval_F_grid(params, qn, thetas)
     if args.projected:
-        # same theta nodes mapped through the stereographic projection
-        samples = []
+        # same theta nodes mapped through the stereographic projection, one
+        # point at a time: numpy's tan and power differ from math's in the last bit
+        rows = []
         for th, f_val in zip(thetas, values):
             r = r_from_theta(params.R, th)
             prefactor = (1.0 + (r / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0))
-            samples.append(WavefunctionSample(r, prefactor * float(f_val)))
+            rows.append((r, prefactor * float(f_val)))
         header = ["r", "f"]
     else:
-        samples = [WavefunctionSample(th, float(v)) for th, v in zip(thetas, values)]
+        rows = [(th, float(v)) for th, v in zip(thetas, values)]
         header = ["theta", "F"]
-    rows = [(s.coordinate, s.value) for s in samples]
     _emit(config, header, rows, args.out, args.format)
     return EXIT_OK
 
@@ -189,11 +196,8 @@ def _cmd_euclid_limit(args) -> int:
         raise UsageError("--radii needs at least 3 ascending values")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise UsageError("--radii must be strictly ascending")
-    eparams = EuclideanParams(
-        N=args.dim, omega=args.omega, chi=args.chi,
-        m=1.0 if args.natural else (args.mass if args.mass is not None else 1.0),
-        hbar=1.0 if args.natural else (args.hbar if args.hbar is not None else 1.0),
-    )
+    m, hbar = _mass_hbar(args)
+    eparams = EuclideanParams(N=args.dim, omega=args.omega, chi=args.chi, m=m, hbar=hbar)
     qn = QuantumNumbers(args.nr, args.l)
     config = {"command": "euclid-limit", "dim": eparams.N, "omega": eparams.omega,
               "chi": eparams.chi, "mass": eparams.m, "hbar": eparams.hbar,

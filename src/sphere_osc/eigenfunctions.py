@@ -12,13 +12,12 @@ polynomial factor alone decides the sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import model, special
-from .errors import DomainError, RangeError
+from .errors import DomainError, check_envelope, check_int, check_range, check_real
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 from .special import JacobiParams
 
@@ -29,21 +28,16 @@ MAX_MU = 1.0e3
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class WavefunctionSample:
-    """One (coordinate, amplitude) pair of a sampled eigenfunction."""
+def checked_mu(params: OscillatorParams, L: int) -> tuple[float, float]:
+    """Weight exponents (mu_L1, mu_L2) of level L; RangeError beyond MAX_MU.
 
-    coordinate: float
-    value: float
-
-
-def _state_data(params: OscillatorParams, qn: QuantumNumbers):
-    mu1 = model.mu(params, qn.L, 1)
-    mu2 = model.mu(params, qn.L, 2)
-    if max(mu1, mu2) > MAX_MU:
-        raise RangeError(
-            f"state exponents mu=({mu1:g}, {mu2:g}) exceed the validated envelope {MAX_MU:g}"
-        )
+    Every route that forms an eigenfunction or a matched quadrature rule
+    starts here, so the envelope is enforced before any work is done.
+    """
+    L = check_int("L", L)
+    mu1 = model.mu(params, L, 1)
+    mu2 = model.mu(params, L, 2)
+    check_envelope("mu", max(mu1, mu2), MAX_MU)
     return mu1, mu2
 
 
@@ -54,7 +48,7 @@ def _log_prefactor_halfangle(params: OscillatorParams, qn: QuantumNumbers):
     Returns (log_norm, e0, e1, mu1, mu2) with e0/e1 the sin(theta/2) and
     cos(theta/2) exponents.
     """
-    mu1, mu2 = _state_data(params, qn)
+    mu1, mu2 = checked_mu(params, qn.L)
     n, N = qn.n_theta, params.N
     lg = special.log_gamma
     log_norm = 0.5 * (
@@ -80,11 +74,6 @@ def _endpoint_value(exponent: float, log_rest: float, sign: float) -> float:
     return math.copysign(math.inf, sign)
 
 
-def _check_theta(theta: float):
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-
-
 def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
     """Normalized quasi-radial eigenfunction, half-angle power form.
 
@@ -92,7 +81,7 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
     positive exponent, the finite limit for a vanishing one, and a signed
     infinity indicator (never an exception) for a negative one.
     """
-    _check_theta(theta)
+    check_range("theta", theta, 0.0, math.pi)
     log_norm, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
     n = qn.n_theta
     if theta == 0.0:
@@ -104,13 +93,6 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
     poly = special.jacobi_eval(n, JacobiParams(mu2, mu1), math.cos(theta))
     envelope = log_norm + e0 * math.log(math.sin(0.5 * theta)) + e1 * math.log(math.cos(0.5 * theta))
     return math.exp(envelope) * poly
-
-
-def _interior_angles(thetas) -> np.ndarray:
-    th = np.asarray(thetas, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= math.pi):
-        raise DomainError("grid evaluation requires angles interior to (0, pi)")
-    return th
 
 
 def _envelope_terms(prefactor, th: np.ndarray):
@@ -133,7 +115,7 @@ def log_abs_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas):
     weight factors without ever forming an overflowing intermediate; the
     sign is 0 exactly where the polynomial factor vanishes.
     """
-    th = _interior_angles(thetas)
+    th = check_range("thetas", np.asarray(thetas, dtype=float), 0.0, math.pi, closed=False)
     prefactor = _log_prefactor_halfangle(params, qn)
     log_norm, _, _, mu1, mu2 = prefactor
     poly = special.jacobi_eval(qn.n_theta, JacobiParams(mu2, mu1), np.cos(th))
@@ -147,7 +129,7 @@ def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas):
     shared, so each state costs one pass over the grid; every yielded pair
     equals log_abs_F_grid of its state bit for bit.
     """
-    th = _interior_angles(thetas)
+    th = check_range("thetas", np.asarray(thetas, dtype=float), 0.0, math.pi, closed=False)
     prefactor = _log_prefactor_halfangle(params, QuantumNumbers(0, L))
     _, _, _, mu1, mu2 = prefactor
     terms = _envelope_terms(prefactor, th)
@@ -165,7 +147,7 @@ def eval_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas) -> np.ndar
 
 def eval_F_form_a(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
     """Same eigenfunction through the (1 -+ cos theta) power factorization."""
-    _check_theta(theta)
+    check_range("theta", theta, 0.0, math.pi)
     _, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
     n, N = qn.n_theta, params.N
     lg = special.log_gamma
@@ -194,8 +176,8 @@ def eval_F_gegenbauer(params: OscillatorParams, qn: QuantumNumbers, theta: float
     """Symmetric-trap eigenfunction in its Gegenbauer dressing (omega1 == omega2)."""
     if params.omega1 != params.omega2:
         raise DomainError("eval_F_gegenbauer requires omega1 == omega2")
-    _check_theta(theta)
-    mu_l, _ = _state_data(params, qn)
+    check_range("theta", theta, 0.0, math.pi)
+    mu_l, _ = checked_mu(params, qn.L)
     n, N = qn.n_theta, params.N
     lg = special.log_gamma
     log_norm = 0.5 * (
@@ -226,16 +208,14 @@ def reflection_check(params: OscillatorParams, qn: QuantumNumbers, theta: float)
     """
     if params.omega2 != 0.0:
         raise DomainError("reflection_check expects the omega2 == 0 orientation")
-    _check_theta(theta)
     mirror = params.swapped()
     return eval_F(params, qn, theta), eval_F(mirror, qn, math.pi - theta)
 
 
 def r_from_theta(R: float, theta: float) -> float:
     """Stereographic image r = 2 R tan(theta/2); the south pole maps to infinity."""
-    if not math.isfinite(R) or R <= 0.0:
-        raise DomainError(f"R must be finite and > 0, got {R!r}")
-    _check_theta(theta)
+    check_real("R", R, 0.0, strict=True)
+    check_range("theta", theta, 0.0, math.pi)
     if theta == math.pi:
         return math.inf
     return 2.0 * R * math.tan(0.5 * theta)
@@ -243,10 +223,8 @@ def r_from_theta(R: float, theta: float) -> float:
 
 def theta_from_r(R: float, r: float) -> float:
     """Inverse stereographic map theta = 2 arctan(r / 2R)."""
-    if not math.isfinite(R) or R <= 0.0:
-        raise DomainError(f"R must be finite and > 0, got {R!r}")
-    if r < 0.0 or math.isnan(r):
-        raise DomainError(f"r must be >= 0, got {r!r}")
+    check_real("R", R, 0.0, strict=True)
+    check_range("r", r, 0.0, math.inf)
     return 2.0 * math.atan2(r, 2.0 * R)
 
 
@@ -262,8 +240,7 @@ def project_to_plane_jacobi(params: OscillatorParams, qn: QuantumNumbers, r: flo
 
     Independent algebraic route used to cross-check project_to_plane.
     """
-    if r < 0.0 or math.isnan(r):
-        raise DomainError(f"r must be >= 0, got {r!r}")
+    check_real("r", r, 0.0)
     log_norm, e0, _, mu1, mu2 = _log_prefactor_halfangle(params, qn)
     lam_half = mu2  # big-Lambda + 1/2 of the flat-space identification
     n = qn.n_theta
@@ -280,10 +257,8 @@ def project_to_plane_jacobi(params: OscillatorParams, qn: QuantumNumbers, r: flo
 
 def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r: float) -> float:
     """Normalized flat-space radial function of the centrifugally perturbed trap."""
-    if not isinstance(n_r, int) or isinstance(n_r, bool) or n_r < 0:
-        raise DomainError(f"n_r must be a nonnegative integer, got {n_r!r}")
-    if r < 0.0 or math.isnan(r):
-        raise DomainError(f"r must be >= 0, got {r!r}")
+    n_r = check_int("n_r", n_r, 0)
+    check_real("r", r, 0.0)
     if eparams.omega <= 0.0:
         raise DomainError("bound flat-space states require omega > 0")
     lam = model.big_lambda(eparams, L)

@@ -16,17 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
-
-
-def _require_positive(name: str, v: float):
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be finite and > 0, got {v!r}")
-
-
-def _require_nonnegative(name: str, v: float):
-    if not math.isfinite(v) or v < 0.0:
-        raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+from .errors import DomainError, RangeError, check_int, check_range, check_real
 
 
 @dataclass(frozen=True)
@@ -41,17 +31,20 @@ class OscillatorParams:
     omega2: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
-            raise DomainError(f"dimension N must be an integer >= 2, got {self.N!r}")
-        _require_positive("R", self.R)
-        _require_positive("m", self.m)
-        _require_positive("hbar", self.hbar)
-        _require_nonnegative("omega1", self.omega1)
-        _require_nonnegative("omega2", self.omega2)
-        for k in (1, 2):
-            w = self.coupling(k)
-            if not math.isfinite(w):
-                raise DomainError(f"coupling w{k} is not finite")
+        object.__setattr__(self, "N", check_int("dimension N", self.N, 2))
+        for name in ("R", "m", "hbar"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        check_real("omega1", self.omega1, 0.0)
+        check_real("omega2", self.omega2, 0.0)
+        # Validating the derived scales here means no later R**2 or hbar**2 can overflow.
+        try:
+            w1, w2, unit = self.w1, self.w2, self.energy_unit
+        except (OverflowError, ZeroDivisionError):
+            raise RangeError(f"R={self.R!r}, m={self.m!r}, hbar={self.hbar!r} overflow "
+                             "the couplings or the energy unit") from None
+        check_real("coupling w1", w1)
+        check_real("coupling w2", w2)
+        check_real("energy unit hbar^2/(2 m R^2)", unit, 0.0, strict=True)
 
     def coupling(self, k: int) -> float:
         """Dimensionless coupling w_k = 4 m omega_k R^2 / hbar."""
@@ -77,13 +70,11 @@ class OscillatorParams:
     def from_couplings(cls, N: int, w1: float, w2: float,
                        R: float = 1.0, m: float = 1.0, hbar: float = 1.0):
         """Build params from the dimensionless couplings (natural units by default)."""
-        _require_nonnegative("w1", w1)
-        _require_nonnegative("w2", w2)
-        _require_positive("R", R)
-        _require_positive("m", m)
-        _require_positive("hbar", hbar)
+        check_real("w1", w1, 0.0)
+        check_real("w2", w2, 0.0)
+        base = cls(N=N, R=R, m=m, hbar=hbar)  # validates R, m, hbar before R**2 is formed
         scale = hbar / (4.0 * m * R**2)
-        return cls(N=N, R=R, m=m, hbar=hbar, omega1=w1 * scale, omega2=w2 * scale)
+        return replace(base, omega1=w1 * scale, omega2=w2 * scale)
 
     def swapped(self) -> "OscillatorParams":
         """Same setup with the two trap frequencies exchanged."""
@@ -98,10 +89,8 @@ class QuantumNumbers:
     L: int
 
     def __post_init__(self):
-        if not isinstance(self.n_theta, int) or isinstance(self.n_theta, bool) or self.n_theta < 0:
-            raise DomainError(f"n_theta must be a nonnegative integer, got {self.n_theta!r}")
-        if not isinstance(self.L, int) or isinstance(self.L, bool):
-            raise DomainError(f"L must be an integer, got {self.L!r}")
+        object.__setattr__(self, "n_theta", check_int("n_theta", self.n_theta, 0))
+        object.__setattr__(self, "L", check_int("L", self.L))
 
 
 @dataclass(frozen=True)
@@ -115,12 +104,10 @@ class EuclideanParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
-            raise DomainError(f"dimension N must be an integer >= 2, got {self.N!r}")
-        _require_nonnegative("omega", self.omega)
-        _require_positive("chi", self.chi)
-        _require_positive("m", self.m)
-        _require_positive("hbar", self.hbar)
+        object.__setattr__(self, "N", check_int("dimension N", self.N, 2))
+        check_real("omega", self.omega, 0.0)
+        for name in ("chi", "m", "hbar"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
 
 
 def reduce_L(N: int, L: int) -> int:
@@ -153,8 +140,7 @@ def potential_theta(params: OscillatorParams, theta: float) -> float:
     At a pole where the corresponding frequency is nonzero the potential is
     reported as +infinity rather than raising.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+    check_range("theta", theta, 0.0, math.pi)
     c1 = 2.0 * params.m * params.omega1**2 * params.R**2
     c2 = 2.0 * params.m * params.omega2**2 * params.R**2
     if theta == 0.0:
@@ -167,8 +153,7 @@ def potential_theta(params: OscillatorParams, theta: float) -> float:
 
 def potential_theta_alt(params: OscillatorParams, theta: float) -> float:
     """Algebraically equivalent sec^2/csc^2 form of the potential, for cross-checks."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+    check_range("theta", theta, 0.0, math.pi)
     c1 = 2.0 * params.m * params.omega1**2 * params.R**2
     c2 = 2.0 * params.m * params.omega2**2 * params.R**2
     if theta == 0.0:
@@ -193,7 +178,7 @@ def lambda_of_energy(params: OscillatorParams, E: float) -> float:
 
 def big_lambda(eparams: EuclideanParams, L: int) -> float:
     """Effective flat-space angular quantum number sqrt((L+N/2-1)^2 + chi^2) - 1/2."""
-    return math.hypot(half_index(eparams.N, L), eparams.chi) - 0.5
+    return math.hypot(half_index(eparams.N, check_int("L", L)), eparams.chi) - 0.5
 
 
 def finite_radius_params(eparams: EuclideanParams, R: float) -> OscillatorParams:
@@ -202,7 +187,7 @@ def finite_radius_params(eparams: EuclideanParams, R: float) -> OscillatorParams
     omega1 is kept independent of R while omega2 = hbar * chi / (4 m R^2),
     so the second coupling stays pinned at w2 = chi for every radius.
     """
-    _require_positive("R", R)
+    base = OscillatorParams(N=eparams.N, R=R, m=eparams.m, hbar=eparams.hbar,
+                            omega1=eparams.omega)  # validates R before R**2 is formed
     omega2 = eparams.hbar * eparams.chi / (4.0 * eparams.m * R**2)
-    return OscillatorParams(N=eparams.N, R=R, m=eparams.m, hbar=eparams.hbar,
-                            omega1=eparams.omega, omega2=omega2)
+    return replace(base, omega2=omega2)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import check_envelope, check_int, check_range, check_real
 
 # Largest weight exponent accepted by the degree recurrences.  The envelope
 # is set by the Jacobi-to-Laguerre limit checks, which push beta to 1e5;
@@ -47,12 +47,8 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            if v <= -1.0:
-                raise DomainError(f"{name} must exceed -1, got {v!r}")
+        check_real("alpha", self.alpha, -1.0, strict=True)
+        check_real("beta", self.beta, -1.0, strict=True)
 
 
 def log_gamma(x: float) -> float:
@@ -61,9 +57,7 @@ def log_gamma(x: float) -> float:
     Lanczos-type rational approximation, accurate to better than 1e-13
     relative over 0 < x <= 1e7.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
+    x = check_real("x", float(x), 0.0, strict=True)
     if x < 0.5:
         # reflection keeps the rational part well conditioned near zero
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
@@ -75,30 +69,12 @@ def log_gamma(x: float) -> float:
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(series)
 
 
-def _check_degree(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
-    return int(n)
-
-
-def _check_param(name: str, v: float):
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {v!r}")
-    if abs(v) > MAX_RECURRENCE_PARAM:
-        raise RangeError(
-            f"{name}={v!r} outside the validated envelope "
-            f"(|{name}| <= {MAX_RECURRENCE_PARAM:g})"
-        )
-
-
 def jacobi_sweep(n: int, params: JacobiParams, x):
     """Yield P_0, ..., P_n^(alpha,beta)(x) in turn from the three-term recurrence in the degree."""
-    n = _check_degree(n)
-    _check_param("alpha", params.alpha)
-    _check_param("beta", params.beta)
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
-        raise DomainError("Jacobi polynomials require |x| <= 1")
+    n = check_int("degree", n, 0)
+    check_envelope("alpha", params.alpha, MAX_RECURRENCE_PARAM)
+    check_envelope("beta", params.beta, MAX_RECURRENCE_PARAM)
+    xa = check_range("x", np.asarray(x, dtype=float), -1.0, 1.0)
     a, b = params.alpha, params.beta
     p = np.ones_like(xa)
     yield p
@@ -135,13 +111,10 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     and rounded once at the end; plain compensated summation would cap the
     achievable accuracy at the series' condition number.
     """
-    n = _check_degree(n)
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"hyp2f1_terminating requires c > 0, got {c!r}")
-    if not math.isfinite(b):
-        raise DomainError(f"b must be finite, got {b!r}")
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"hyp2f1_terminating requires z in [0, 1], got {z!r}")
+    n = check_int("degree", n, 0)
+    check_real("c", c, 0.0, strict=True)
+    check_real("b", b)
+    check_range("z", z, 0.0, 1.0)
     b_r, c_r, z_r = Fraction(b), Fraction(c), Fraction(z)
     total = Fraction(1)
     term = Fraction(1)
@@ -153,13 +126,10 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
 
 def gegenbauer_eval(n: int, lam: float, x):
     """Gegenbauer polynomial C_n^lam(x) on [-1, 1] via its recurrence."""
-    n = _check_degree(n)
-    if not math.isfinite(lam) or lam <= -0.5:
-        raise DomainError(f"gegenbauer_eval requires lam > -1/2, got {lam!r}")
-    _check_param("lam", lam)
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0):
-        raise DomainError("gegenbauer_eval requires |x| <= 1")
+    n = check_int("degree", n, 0)
+    check_real("lam", lam, -0.5, strict=True)
+    check_envelope("lam", lam, MAX_RECURRENCE_PARAM)
+    xa = check_range("x", np.asarray(x, dtype=float), -1.0, 1.0)
     c = np.ones_like(xa)
     if n >= 1:
         cm1 = c
@@ -171,13 +141,10 @@ def gegenbauer_eval(n: int, lam: float, x):
 
 def laguerre_eval(n: int, a: float, x):
     """Generalized Laguerre polynomial L_n^(a)(x) for x >= 0 via its recurrence."""
-    n = _check_degree(n)
-    if not math.isfinite(a) or a <= -1.0:
-        raise DomainError(f"laguerre_eval requires a > -1, got {a!r}")
-    _check_param("a", a)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise DomainError("laguerre_eval requires x >= 0")
+    n = check_int("degree", n, 0)
+    check_real("a", a, -1.0, strict=True)
+    check_envelope("a", a, MAX_RECURRENCE_PARAM)
+    xa = check_range("x", np.asarray(x, dtype=float), 0.0, math.inf)
     p = np.ones_like(xa)
     if n >= 1:
         pm1 = p
@@ -194,7 +161,7 @@ def jacobi_log_norm_sq(n: int, params: JacobiParams) -> float:
     assembled entirely from log-gamma terms so parameters up to 1e6 cannot
     overflow.
     """
-    n = _check_degree(n)
+    n = check_int("degree", n, 0)
     a, b = params.alpha, params.beta
     return (
         (a + b + 1.0) * math.log(2.0)
@@ -208,6 +175,6 @@ def jacobi_log_norm_sq(n: int, params: JacobiParams) -> float:
 
 def jacobi_log_endpoint(n: int, params: JacobiParams) -> float:
     """Log of P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (n! Gamma(alpha+1))."""
-    n = _check_degree(n)
+    n = check_int("degree", n, 0)
     a = params.alpha
     return log_gamma(n + a + 1.0) - log_gamma(n + 1.0) - log_gamma(a + 1.0)

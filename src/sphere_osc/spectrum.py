@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
 # Relative tolerance for the internal product-form vs expanded-form cross-check.
@@ -109,8 +109,7 @@ def energy_omega2_zero(params: OscillatorParams, qn: QuantumNumbers) -> float:
 
 def energy_euclidean(eparams: EuclideanParams, n_r: int, L: int) -> float:
     """Flat-space level hbar*omega*(2 n_r + 1 + sqrt((L+N/2-1)^2 + chi^2))."""
-    if not isinstance(n_r, int) or isinstance(n_r, bool) or n_r < 0:
-        raise DomainError(f"n_r must be a nonnegative integer, got {n_r!r}")
+    n_r = check_int("n_r", n_r, 0)
     lam = model.big_lambda(eparams, L)
     return eparams.hbar * eparams.omega * (2.0 * n_r + 1.5 + lam)
 
@@ -121,8 +120,8 @@ def spectrum_table(params: OscillatorParams, n_max: int, L_max: int) -> list[Spe
     Ties are broken lexicographically by (energy, L, n_theta) so the output
     is deterministic.
     """
-    if n_max < 0 or L_max < 0:
-        raise DomainError("n_max and L_max must be >= 0")
+    n_max = check_int("n_max", n_max, 0)
+    L_max = check_int("L_max", L_max, 0)
     unit = params.energy_unit
     entries = []
     for L in range(L_max + 1):

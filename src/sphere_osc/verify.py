@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenfunctions, model, spectrum
-from .errors import DomainError
+from .errors import DomainError, check_envelope, check_int, check_range, check_real
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
-from .special import log_gamma
+from .special import JacobiParams, log_gamma
 
 # Tolerances of the verification contract (shared by the CLI and the tests).
 NORMALIZATION_TOL = 1.0e-10
@@ -86,12 +86,11 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     Golub-Welsch construction: nodes and weights come from the symmetric
     tridiagonal eigenproblem of the monic three-term recurrence.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"rule size must be a positive integer, got {n!r}")
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(v) or v <= -1.0:
-            raise DomainError(f"{name} must be finite and > -1, got {v!r}")
-    n = int(n)
+    n = check_int("rule size", n, 1)
+    JacobiParams(alpha, beta)  # alpha, beta finite and > -1
+    # beyond MAX_MU the weight mass below can overflow
+    check_envelope("alpha", alpha, eigenfunctions.MAX_MU)
+    check_envelope("beta", beta, eigenfunctions.MAX_MU)
     apb = alpha + beta
     # total mass of the weight: 2^(a+b+1) * B(a+1, b+1)
     log_mu0 = (apb + 1.0) * _LOG2 + log_gamma(alpha + 1.0) + log_gamma(beta + 1.0) - log_gamma(apb + 2.0)
@@ -135,8 +134,7 @@ def _matched_rule(params: OscillatorParams, L: int, num_nodes: int):
     Returns the rule (alpha = mu_L2, beta = mu_L1), its nodes as angles
     theta = arccos(x), and the log measure factor at the nodes.
     """
-    mu1 = model.mu(params, L, 1)
-    mu2 = model.mu(params, L, 2)
+    mu1, mu2 = eigenfunctions.checked_mu(params, L)
     rule = gauss_jacobi_rule(num_nodes, mu2, mu1)
     return rule, np.arccos(rule.nodes), _measure_log(params, rule.nodes, mu1, mu2)
 
@@ -160,8 +158,7 @@ def normalization_check(params: OscillatorParams, qn: QuantumNumbers, num_nodes:
 
 def overlap_matrix(params: OscillatorParams, L: int, n_max: int, num_nodes: int = 200) -> np.ndarray:
     """Pairwise overlaps of the states n_theta = 0..n_max at fixed L (target: identity)."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    n_max = check_int("n_max", n_max, 0)
     rule, theta, measure_log = _matched_rule(params, L, num_nodes)
     a = np.array([sign * np.exp(log_abs + 0.5 * measure_log)
                   for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)])
@@ -178,9 +175,7 @@ def ode_residual(params: OscillatorParams, qn: QuantumNumbers,
     """
     if theta_grid is None:
         theta_grid = np.linspace(0.05, math.pi - 0.05, 101)
-    th = np.asarray(theta_grid, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= math.pi):
-        raise DomainError("the residual grid must be interior to (0, pi)")
+    th = check_range("theta_grid", np.asarray(theta_grid, dtype=float), 0.0, math.pi, closed=False)
     eps = spectrum.epsilon(params, qn) if energy is None else energy / params.energy_unit
     lr = model.reduce_L(params.N, qn.L)
     c_l = lr * (lr + params.N - 2.0)
@@ -246,9 +241,8 @@ def build_discretized_operator(params: OscillatorParams, L: int, grid_points: in
     second-order eigenvalue convergence.  Eigenvalues come out in units of
     hbar^2 / (2 m R^2).
     """
-    if grid_points < 500:
-        raise DomainError(f"grid too coarse: need >= 500 points, got {grid_points}")
-    n_pts = int(grid_points)
+    n_pts = check_int("grid_points", grid_points, 500)
+    L = check_int("L", L)
     h = math.pi / n_pts
     th = (np.arange(n_pts) + 0.5) * h
     mu1 = model.mu(params, L, 1)
@@ -276,8 +270,7 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     Sturm-sequence bisection on the symmetric tridiagonal matrix; returned
     ascending, in units of hbar^2 / (2 m R^2).
     """
-    if not 1 <= k_levels <= 20:
-        raise DomainError(f"k_levels must be in 1..20, got {k_levels!r}")
+    check_int("k_levels", k_levels, 1, 20)
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     op = build_discretized_operator(params, L, grid_points)
@@ -297,6 +290,7 @@ def fd_eigenvectors(params: OscillatorParams, L: int, k_levels: int, grid_points
     R^N * sum sin^(N-1)(theta_i) F_i^2 h = 1 and sign-aligned to be positive
     at the grid point nearest theta = pi/2.
     """
+    check_int("k_levels", k_levels, 1)
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     op = build_discretized_operator(params, L, grid_points)
@@ -333,7 +327,8 @@ def _sign_changes(vals: np.ndarray) -> int:
 def node_count(params: OscillatorParams, qn: QuantumNumbers,
                grid_points: int = NODE_GRID_POINTS) -> int:
     """Sign changes of the eigenfunction on the open interval (0, pi)."""
-    return _sign_changes(eigenfunctions.eval_F_grid(params, qn, _node_grid(grid_points)))
+    grid = _node_grid(check_int("grid_points", grid_points, 2))
+    return _sign_changes(eigenfunctions.eval_F_grid(params, qn, grid))
 
 
 def loglog_slope(xs, ys) -> float:
@@ -353,11 +348,10 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
     """
     if eparams.omega <= 0.0:
         raise DomainError("the limit scan requires omega > 0")
-    radii = [float(r) for r in R_values]
-    if not radii or any(r <= 0.0 for r in radii):
-        raise DomainError("R_values must be positive")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise DomainError("R_values must be strictly ascending")
+    radii = [check_real("R", float(r), 0.0, strict=True) for r in R_values]
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise DomainError("R_values must be nonempty and strictly ascending")
+    num_r = check_int("num_r", num_r, 1)
     e_flat = spectrum.energy_euclidean(eparams, qn.n_theta, qn.L)
     r_max = 4.0 * math.sqrt(eparams.hbar / (eparams.m * eparams.omega))
     rs = np.linspace(0.0, r_max, num_r + 1)[1:]
@@ -381,9 +375,11 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     once and shared by all n_theta.  The ODE residual stays per state: its
     step adapts to the level.
     """
+    check_real("energy_factor", energy_factor)
     n_max = max(n_values)
-    fd = fd_eigensolve(params, L, n_max + 1, grid_points)
+    # the matched rule checks the mu envelope, so it is formed before the FD solve
     rule, theta, measure_log = _matched_rule(params, L, quad_nodes)
+    fd = fd_eigensolve(params, L, n_max + 1, grid_points)
     norms = [_norm_integral(rule, log_abs, sign, measure_log)
              for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
     nodes = [_sign_changes(sign * np.exp(log_abs))

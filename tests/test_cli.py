@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +10,8 @@ CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("SPHERE_OSC_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+def run_cli(args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -131,14 +126,6 @@ class TestVerifyCommand:
         assert res.returncode == 0, res.stderr
         assert res.stdout == (GOLDEN / "verify_dim3_w5_2.csv").read_text()
 
-    def test_thread_count_invariance(self):
-        args = ["verify", "--dim", "2", "--w1", "1", "--w2", "1",
-                "--levels", "1", "--lmax", "1"]
-        one = run_cli(args, env_extra={"SPHERE_OSC_THREADS": "1"})
-        four = run_cli(args, env_extra={"SPHERE_OSC_THREADS": "4"})
-        assert one.stdout == four.stdout
-        assert one.returncode == four.returncode == 0
-
 
 class TestEuclidLimitCommand:
     def test_decade_scan(self):
@@ -178,12 +165,29 @@ class TestExitCodes:
     def test_natural_conflicts_with_mass(self):
         res = run_cli(["spectrum", "--dim", "2", "--mass", "2.0", "--natural"])
         assert res.returncode == 2
+        res = run_cli(["euclid-limit", "--dim", "3", "--chi", "1.5", "--natural",
+                       "--mass", "2", "--radii", "1.5,3,6"])
+        assert res.returncode == 2
 
     def test_domain_error_dimension(self):
         assert run_cli(["spectrum", "--dim", "1", "--w1", "0", "--w2", "0"]).returncode == 3
 
     def test_domain_error_negative_coupling(self):
         assert run_cli(["spectrum", "--dim", "2", "--w1", "-2"]).returncode == 3
+
+    @pytest.mark.parametrize("args", [
+        # R**2 overflows the coupling
+        "spectrum --dim 3 --omega1 1 --radius 1e200 --nmax 0 --lmax 0",
+        # mu = 2000 > MAX_MU: rejected before the FD solve and the rule's weight mass
+        "verify --dim 3 --w1 2000 --w2 2 --levels 2 --lmax 0",
+        # R**2 underflows, so the energy unit divides by zero
+        "spectrum --dim 3 --radius 1e-200 --nmax 0 --lmax 0",
+        "verify --dim 2 --w1 5 --w2 2 --levels 0 --lmax 0 --perturb-energy nan",
+    ])
+    def test_rejected_input_exits_3(self, args):
+        res = run_cli(args.split())
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
 
     def test_unwritable_out_is_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"

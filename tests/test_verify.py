@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from sphere_osc.errors import DomainError
+from sphere_osc.eigenfunctions import eval_f_euclidean, project_to_plane_jacobi
+from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers
 from sphere_osc.special import JacobiParams, jacobi_eval, jacobi_log_norm_sq, log_gamma
-from sphere_osc.spectrum import energy, epsilon
+from sphere_osc.spectrum import energy, energy_euclidean, epsilon, spectrum_table
 from sphere_osc.verify import (
     build_discretized_operator,
     euclidean_limit_scan,
@@ -273,3 +274,43 @@ class TestVerificationReport:
         assert rep.max_ode_residual > 1e-4
         assert rep.oracle_energy_relerr > 1e-4
         assert not rep.passed
+
+
+W5_2 = OscillatorParams.from_couplings(3, 5.0, 2.0)
+W2000 = OscillatorParams.from_couplings(3, 2000.0, 2.0)  # mu_1 = 2000 > MAX_MU
+FLAT = EuclideanParams(N=3, omega=1.0, chi=1.5)
+
+
+class TestInputValidation:
+    """Each input outside the accepted domain or envelope raises DomainError or RangeError."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: spectrum_table(W5_2, 1.5, 0), DomainError),
+        (lambda: fd_eigensolve(W5_2, 0, 2.5, 1000), DomainError),
+        (lambda: node_count(W5_2, QuantumNumbers(1, 0), grid_points=-5), DomainError),
+        (lambda: node_count(W5_2, QuantumNumbers(1, 0), grid_points=0), DomainError),
+        (lambda: ode_residual(W5_2, QuantumNumbers(0, 0), [math.nan]), DomainError),
+        (lambda: normalization_check(W2000, QuantumNumbers(0, 0)), RangeError),
+        (lambda: verification_report(W2000, QuantumNumbers(0, 0)), RangeError),
+        (lambda: gauss_jacobi_rule(200, 2.0, 2000.0), RangeError),
+        (lambda: fd_eigensolve(W5_2, 1.5, 2, 1000), DomainError),
+        (lambda: energy_euclidean(FLAT, 0, 1.5), DomainError),
+        (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
+        (lambda: project_to_plane_jacobi(W5_2, QuantumNumbers(1, 1), math.inf), DomainError),
+    ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k", "node_count-negative-grid",
+            "node_count-empty-grid", "ode_residual-nan-grid", "normalization_check-w2000",
+            "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
+            "energy_euclidean-float-L", "eval_f_euclidean-r-inf",
+            "project_to_plane_jacobi-r-inf"])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda n: repr(QuantumNumbers(n, 0)),  # the stored field is a Python int
+        lambda n: jacobi_eval(n, JacobiParams(1.5, 0.5), 0.3),
+        lambda n: gauss_jacobi_rule(n, 1.5, 0.5).nodes,
+        lambda n: energy_euclidean(FLAT, n, 1),
+    ], ids=["QuantumNumbers", "jacobi_eval", "gauss_jacobi_rule", "energy_euclidean"])
+    def test_numpy_integers_like_int(self, call):
+        assert np.array_equal(call(np.int64(3)), call(3))
