@@ -19,7 +19,7 @@ from .model import (
     potential_theta_alt,
 )
 from .spectrum import (
-    SpectrumEntry,
+    SpectrumTable,
     energy,
     energy_equal_omegas,
     energy_euclidean,
@@ -65,7 +65,7 @@ __all__ = [
     "lambda_of_energy",
     "big_lambda",
     "finite_radius_params",
-    "SpectrumEntry",
+    "SpectrumTable",
     "epsilon",
     "energy",
     "energy_equal_omegas",

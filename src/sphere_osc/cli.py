@@ -14,8 +14,8 @@ import sys
 
 from . import spectrum as spectrum_mod
 from . import verify as verify_mod
-from .eigenfunctions import eval_F_grid, r_from_theta
-from .errors import DomainError
+from .eigenfunctions import checked_mu, eval_F_grid, r_from_theta
+from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
 EXIT_OK = 0
@@ -25,18 +25,21 @@ EXIT_DOMAIN = 3
 
 _PHYSICAL_FLAGS = ("omega1", "omega2", "radius", "mass", "hbar")
 
+# Largest `wavefunction --grid`: the CLI builds every theta node and row in memory.
+MAX_WAVEFUNCTION_GRID = 10**6
+
 
 class UsageError(Exception):
     """Bad flag combination that argparse alone cannot catch."""
 
 
 def _fmt_cell(v) -> str:
+    if isinstance(v, float):  # the common cell, tested first; bool is not a float
+        return f"{v:.17g}"
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
     return str(v)
 
 
@@ -128,8 +131,8 @@ def _cmd_spectrum(args) -> int:
         raise UsageError("--nmax and --lmax must be >= 0")
     config = {"command": "spectrum", **config, "nmax": args.nmax, "lmax": args.lmax,
               "format": args.format}
-    entries = spectrum_mod.spectrum_table(params, args.nmax, args.lmax)
-    rows = [(e.n_theta, e.L, e.energy_dimensionless, e.energy) for e in entries]
+    table = spectrum_mod.spectrum_table(params, args.nmax, args.lmax)
+    rows = list(zip(*(col.tolist() for col in table)))
     _emit(config, ["n_theta", "L", "epsilon", "energy"], rows, args.out, args.format)
     return EXIT_OK
 
@@ -138,6 +141,7 @@ def _cmd_wavefunction(args) -> int:
     params, config = _resolve_params(args)
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
+    check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
     qn = QuantumNumbers(args.ntheta, args.l)
     config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
               "grid": args.grid, "projected": bool(args.projected), "format": args.format}
@@ -167,24 +171,23 @@ def _cmd_verify(args) -> int:
               "grid_points": args.grid_points, "quad_nodes": args.quad_nodes,
               "perturb_energy": args.perturb_energy, "format": args.format}
     factor = 1.0 + args.perturb_energy
+    # the caps and the mu envelope (mu grows with L) are checked before the first block
+    check_int("--levels", args.levels, hi=verify_mod.MAX_FD_LEVELS - 1)
+    check_int("--grid-points", args.grid_points, hi=verify_mod.MAX_GRID_POINTS)
+    check_int("--quad-nodes", args.quad_nodes, hi=verify_mod.MAX_QUAD_NODES)
+    checked_mu(params, args.lmax)
 
     n_values = list(range(args.levels + 1))
     reports = [rep for L in range(args.lmax + 1)
                for rep in verify_mod._verify_block(params, L, n_values, args.grid_points,
                                                    args.quad_nodes, factor)]
 
-    rows = []
-    all_ok = True
-    for rep in reports:
-        ok = rep.passed
-        all_ok = all_ok and ok
-        rows.append((rep.state.n_theta, rep.state.L, rep.normalization_error,
-                     rep.max_ode_residual, rep.oracle_energy_relerr,
-                     rep.node_count_match, ok))
+    rows = [(rep.state.n_theta, rep.state.L, rep.normalization_error, rep.max_ode_residual,
+             rep.oracle_energy_relerr, rep.node_count_match, rep.passed) for rep in reports]
     header = ["n_theta", "L", "normalization_error", "max_ode_residual",
               "oracle_energy_relerr", "node_count_match", "ok"]
     _emit(config, header, rows, args.out, args.format)
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VERIFICATION
 
 
 def _cmd_euclid_limit(args) -> int:

@@ -25,6 +25,12 @@ ORACLE_TOL = 1.0e-6
 
 _LOG2 = math.log(2.0)
 
+# Size limits.  Golub-Welsch forms an n x n eigenvector matrix, the FD grid
+# is one tridiagonal matrix, and fd_eigensolve bisects for the lowest levels.
+MAX_QUAD_NODES = 2000
+MAX_GRID_POINTS = 10**6
+MAX_FD_LEVELS = 20
+
 # Sign changes are counted on this many interior points of (0, pi).
 NODE_GRID_POINTS = 10_000
 
@@ -86,7 +92,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     Golub-Welsch construction: nodes and weights come from the symmetric
     tridiagonal eigenproblem of the monic three-term recurrence.
     """
-    n = check_int("rule size", n, 1)
+    n = check_int("rule size", n, 1, MAX_QUAD_NODES)
     JacobiParams(alpha, beta)  # alpha, beta finite and > -1
     # beyond MAX_MU the weight mass below can overflow
     check_envelope("alpha", alpha, eigenfunctions.MAX_MU)
@@ -241,7 +247,7 @@ def build_discretized_operator(params: OscillatorParams, L: int, grid_points: in
     second-order eigenvalue convergence.  Eigenvalues come out in units of
     hbar^2 / (2 m R^2).
     """
-    n_pts = check_int("grid_points", grid_points, 500)
+    n_pts = check_int("grid_points", grid_points, 500, MAX_GRID_POINTS)
     L = check_int("L", L)
     h = math.pi / n_pts
     th = (np.arange(n_pts) + 0.5) * h
@@ -270,7 +276,7 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     Sturm-sequence bisection on the symmetric tridiagonal matrix; returned
     ascending, in units of hbar^2 / (2 m R^2).
     """
-    check_int("k_levels", k_levels, 1, 20)
+    check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     op = build_discretized_operator(params, L, grid_points)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -47,6 +48,17 @@ class TestSpectrumCommand:
         args = ["spectrum", "--dim", "3", "--w1", "1.7", "--w2", "0.3",
                 "--nmax", "3", "--lmax", "2"]
         assert run_cli(args).stdout == run_cli(args).stdout
+
+    @pytest.mark.parametrize("args, digest", [
+        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200",
+         "276216b54ef90caa062c4bd67723af313438a42b4eea8f142411a3622e38c3f0"),
+        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json",
+         "6d9c9e812e8b5f63d062adb891e0714d04d4c15ac52776891cccf920b6916045"),
+    ])
+    def test_stdout_sha256(self, args, digest):
+        res = subprocess.run(CLI + args.split(), capture_output=True)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == digest
 
     def test_json_shape(self):
         res = run_cli(["spectrum", "--dim", "2", "--w1", "0", "--w2", "0",
@@ -183,6 +195,19 @@ class TestExitCodes:
         # R**2 underflows, so the energy unit divides by zero
         "spectrum --dim 3 --radius 1e-200 --nmax 0 --lmax 0",
         "verify --dim 2 --w1 5 --w2 2 --levels 0 --lmax 0 --perturb-energy nan",
+        # the product and expanded energy forms disagree beyond 1e-12
+        "spectrum --dim 3 --w1 1e8 --w2 3 --nmax 1 --lmax 1",
+        "spectrum --dim 3 --w1 1e9 --w2 3 --nmax 1 --lmax 1",
+        # w^2 overflows, so the levels are NaN
+        "spectrum --dim 3 --w1 1e300 --w2 1e300",
+        # size caps, checked before anything is allocated
+        "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",
+        "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
+        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 10000000000000000000000",
+        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --quad-nodes 2001",
+        "verify --dim 3 --w1 5 --w2 2 --levels 100000000000 --lmax 0",
+        # mu at --lmax is outside MAX_MU: rejected before the first L block
+        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 5000",
     ])
     def test_rejected_input_exits_3(self, args):
         res = run_cli(args.split())

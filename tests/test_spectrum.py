@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sphere_osc.errors import DomainError
+from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, finite_radius_params
 from sphere_osc.spectrum import (
+    MAX_LEVELS,
     energy,
     energy_equal_omegas,
     energy_euclidean,
@@ -156,19 +160,19 @@ class TestEuclideanEnergy:
 class TestSpectrumTable:
     def test_free_particle_table(self):
         table = spectrum_table(free(2), 1, 1)
-        eps = [t.energy_dimensionless for t in table]
-        labels = [(t.n_theta, t.L) for t in table]
+        eps = table.epsilon.tolist()
+        labels = list(zip(table.n_theta.tolist(), table.L.tolist()))
         assert eps == [0, 2, 2, 6]
         assert labels == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_sorted_and_consistent(self):
         p = OscillatorParams.from_couplings(3, 2.0, 1.0, R=1.7)
         table = spectrum_table(p, 3, 2)
-        assert len(table) == 12
-        energies = [t.energy for t in table]
+        assert len(table.energy) == 12
+        energies = table.energy.tolist()
         assert all(b >= a for a, b in zip(energies, energies[1:]))
-        for t in table:
-            assert rel(t.energy, t.energy_dimensionless * p.energy_unit) <= 1e-15
+        for e, eps in zip(energies, table.epsilon.tolist()):
+            assert rel(e, eps * p.energy_unit) <= 1e-15
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -178,7 +182,83 @@ class TestSpectrumTable:
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
         table = spectrum_table(p, 2, 2)
         fd = {L: fd_eigensolve(p, L, 3, 8000) for L in range(3)}
-        assert len(table) == 9
-        for entry in table:
-            want = float(fd[entry.L][entry.n_theta])
-            assert rel(entry.energy_dimensionless, want) <= 1e-6
+        assert len(table.epsilon) == 9
+        for n, L, eps in zip(table.n_theta.tolist(), table.L.tolist(), table.epsilon.tolist()):
+            want = float(fd[L][n])
+            assert rel(eps, want) <= 1e-6
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_COUPLING = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+
+
+@st.composite
+def _table_cases(draw):
+    N = draw(st.integers(2, 6))
+    w1 = draw(_COUPLING)
+    w2 = draw(st.one_of(st.just(w1), _COUPLING))
+    R = draw(st.floats(0.05, 20.0))
+    params = OscillatorParams.from_couplings(N, w1, w2, R=R)
+    return params, draw(st.integers(0, 12)), draw(st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_cases())
+# np.hypot would give mu_L1 one ulp off math.hypot at L = 3, and epsilon(3, 3) would move
+@example((OscillatorParams.from_couplings(3, 10.4, 5.2), 0, 3))
+def test_table_is_the_sorted_scalar_route(case):
+    """Every column equals epsilon/energy level by level, bit for bit, in (energy, L, n_theta) order."""
+    params, n_max, L_max = case
+    table = spectrum_table(params, n_max, L_max)
+    rows = []
+    for L in range(L_max + 1):
+        for n in range(n_max + 1):
+            qn = QuantumNumbers(n, L)
+            rows.append((energy(params, qn), L, n, epsilon(params, qn)))
+    rows.sort(key=lambda r: r[:3])
+    e_ref, L_ref, n_ref, eps_ref = zip(*rows)
+    assert table.n_theta.tolist() == list(n_ref)
+    assert table.L.tolist() == list(L_ref)
+    assert _bits(table.epsilon) == _bits(eps_ref)
+    assert _bits(table.energy) == _bits(e_ref)
+
+
+class TestUncertifiedLevels:
+    """A level whose two closed forms disagree, or that is not finite, raises RangeError."""
+
+    @pytest.mark.parametrize("w1, w2, where", [
+        (1e8, 3.0, "(0, 0)"),  # the product form cancels terms of size w^2/4
+        (1e300, 1e300, "(0, 0)"),  # w^2 overflows: NaN
+    ])
+    def test_general(self, w1, w2, where):
+        p = OscillatorParams.from_couplings(3, w1, w2)
+        for call in (lambda: epsilon(p, QuantumNumbers(0, 0)),
+                     lambda: spectrum_table(p, 1, 1)):
+            with pytest.raises(RangeError, match=re.escape(where)):
+                call()
+
+    def test_first_offending_level_is_named(self):
+        # E = eps * unit overflows at eps = 8: (n_theta, L) = (2, 0) and (1, 1); L-major order names (2, 0)
+        p = OscillatorParams(N=3, R=1e-154)
+        assert spectrum_table(p, 1, 0).epsilon.tolist() == [0.0, 3.0]
+        with pytest.raises(RangeError, match=re.escape("(2, 0)")):
+            spectrum_table(p, 2, 1)
+        with pytest.raises(RangeError):
+            energy(p, QuantumNumbers(1, 1))
+
+    def test_special_case_forms(self):
+        with pytest.raises(RangeError):
+            energy_equal_omegas(OscillatorParams.from_couplings(3, 1e300, 1e300),
+                                QuantumNumbers(0, 0))
+        with pytest.raises(RangeError):
+            energy_omega2_zero(OscillatorParams.from_couplings(3, 1e300, 0.0),
+                               QuantumNumbers(0, 0))
+
+    def test_size_cap(self):
+        n_max = MAX_LEVELS // 2 - 1
+        assert len(spectrum_table(free(2), n_max, 1).epsilon) == MAX_LEVELS
+        with pytest.raises(RangeError):
+            spectrum_table(free(2), n_max + 1, 1)

@@ -10,6 +10,9 @@ from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers
 from sphere_osc.special import JacobiParams, jacobi_eval, jacobi_log_norm_sq, log_gamma
 from sphere_osc.spectrum import energy, energy_euclidean, epsilon, spectrum_table
 from sphere_osc.verify import (
+    MAX_FD_LEVELS,
+    MAX_GRID_POINTS,
+    MAX_QUAD_NODES,
     build_discretized_operator,
     euclidean_limit_scan,
     fd_eigensolve,
@@ -297,11 +300,15 @@ class TestInputValidation:
         (lambda: energy_euclidean(FLAT, 0, 1.5), DomainError),
         (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
         (lambda: project_to_plane_jacobi(W5_2, QuantumNumbers(1, 1), math.inf), DomainError),
+        (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 1.5, 0.5), DomainError),
+        (lambda: fd_eigensolve(W5_2, 0, 1, MAX_GRID_POINTS + 1), DomainError),
+        (lambda: fd_eigensolve(W5_2, 0, MAX_FD_LEVELS + 1, 1000), DomainError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k", "node_count-negative-grid",
             "node_count-empty-grid", "ode_residual-nan-grid", "normalization_check-w2000",
             "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf",
-            "project_to_plane_jacobi-r-inf"])
+            "project_to_plane_jacobi-r-inf", "gauss_jacobi_rule-nodes-cap",
+            "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
