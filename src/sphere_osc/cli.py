@@ -173,7 +173,9 @@ def _cmd_verify(args) -> int:
     factor = 1.0 + args.perturb_energy
     # the caps and the mu envelope (mu grows with L) are checked before the first block
     check_int("--levels", args.levels, hi=verify_mod.MAX_FD_LEVELS - 1)
-    check_int("--grid-points", args.grid_points, hi=verify_mod.MAX_GRID_POINTS)
+    # the FD oracle also solves on the grid --grid-points // 2, which must keep the floor
+    check_int("--grid-points", args.grid_points, 2 * verify_mod.MIN_GRID_POINTS,
+              verify_mod.MAX_GRID_POINTS)
     check_int("--quad-nodes", args.quad_nodes, hi=verify_mod.MAX_QUAD_NODES)
     checked_mu(params, args.lmax)
 
@@ -251,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sphere_flags(p)
     p.add_argument("--levels", type=int, default=2, help="largest n_theta")
     p.add_argument("--lmax", type=int, default=2)
-    p.add_argument("--grid-points", type=int, default=8000)
+    p.add_argument("--grid-points", type=int, default=2000,
+                   help="finer FD grid; the oracle extrapolates it with half as many points")
     p.add_argument("--quad-nodes", type=int, default=200)
     p.add_argument("--perturb-energy", type=float, default=0.0,
                    help="test hook: relative energy perturbation the detectors must flag")

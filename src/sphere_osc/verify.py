@@ -2,8 +2,9 @@
 
 Nothing in here trusts the spectrum or eigenfunction formulas: quadrature
 rules come from the Golub-Welsch eigenproblem, eigenvalue oracles from a
-symmetric finite-difference discretization, and differential-equation
-residuals from Richardson-extrapolated central differences.
+symmetric finite-difference discretization Richardson-extrapolated over two
+grids, and differential-equation residuals from Richardson-extrapolated
+central differences.
 """
 
 from __future__ import annotations
@@ -28,21 +29,26 @@ _LOG2 = math.log(2.0)
 # Size limits.  Golub-Welsch forms an n x n eigenvector matrix, the FD grid
 # is one tridiagonal matrix, and fd_eigensolve bisects for the lowest levels.
 MAX_QUAD_NODES = 2000
-MAX_GRID_POINTS = 10**6
 MAX_FD_LEVELS = 20
+# FD grid sizes.  Above MAX_GRID_POINTS the bisection's rounding, which grows
+# like 4/h^2 and is amplified by the Richardson step, pushes the extrapolated
+# oracle past 1e-7: first at 29 500 points on the 9x9 verify trap.
+MIN_GRID_POINTS = 500
+MAX_GRID_POINTS = 29_000
 
 # Sign changes are counted on this many interior points of (0, pi).
 NODE_GRID_POINTS = 10_000
 
 # The reduced eigenfunction behaves like (distance)^p at a pole, p = mu + 1/2.
 # Pointwise sampling of the inverse-square potential converges like
-# h^(2p - 1) there, which beats the second-order bulk only for p >= 3/2;
+# h^(2p - 1) there.  The oracle Richardson-extrapolates two grids, so the
+# bulk error is O(h^4), and pointwise sampling keeps up only for p >= 5/2;
 # below that the singular term is discretized so the stencil annihilates the
 # local power exactly.  The correction is confined to a fixed window at each
 # pole: in the bulk the pointwise values are both accurate and cheap, and the
-# matched boundary row's 3^p entry stays tiny for p < 3/2 (a huge outlier
+# matched boundary row's 3^p entry stays small for p < 5/2 (a huge outlier
 # entry would wreck the bisection eigensolver's absolute tolerance).
-_MATCHED_EXPONENT_MAX = 1.5
+_MATCHED_EXPONENT_MAX = 2.5
 _MATCHED_WINDOW = math.pi / 16.0
 
 
@@ -247,7 +253,7 @@ def build_discretized_operator(params: OscillatorParams, L: int, grid_points: in
     second-order eigenvalue convergence.  Eigenvalues come out in units of
     hbar^2 / (2 m R^2).
     """
-    n_pts = check_int("grid_points", grid_points, 500, MAX_GRID_POINTS)
+    n_pts = check_int("grid_points", grid_points, MIN_GRID_POINTS, MAX_GRID_POINTS)
     L = check_int("L", L)
     h = math.pi / n_pts
     th = (np.arange(n_pts) + 0.5) * h
@@ -376,16 +382,21 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
                   quad_nodes: int, energy_factor: float) -> list[VerificationReport]:
     """Run every oracle against the states n_theta in n_values at one L.
 
-    The FD eigensolve, the matched quadrature rule and the Jacobi sweeps on
-    the quadrature and node-count grids depend on L only, so each is built
-    once and shared by all n_theta.  The ODE residual stays per state: its
+    The FD oracle, the matched quadrature rule and the Jacobi sweeps on the
+    quadrature and node-count grids depend on L only, so each is built once
+    and shared by all n_theta.  The FD oracle is one Richardson step over the
+    grids grid_points and grid_points // 2, which cancels the O(h^2) error
+    of the single-grid eigenvalues.  The ODE residual stays per state: its
     step adapts to the level.
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
     # the matched rule checks the mu envelope, so it is formed before the FD solve
     rule, theta, measure_log = _matched_rule(params, L, quad_nodes)
-    fd = fd_eigensolve(params, L, n_max + 1, grid_points)
+    fine, coarse = grid_points, grid_points // 2
+    fd = ((fine**2 * fd_eigensolve(params, L, n_max + 1, fine)
+           - coarse**2 * fd_eigensolve(params, L, n_max + 1, coarse))
+          / (fine**2 - coarse**2))
     norms = [_norm_integral(rule, log_abs, sign, measure_log)
              for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
     nodes = [_sign_changes(sign * np.exp(log_abs))
@@ -406,10 +417,11 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
 
 
 def verification_report(params: OscillatorParams, qn: QuantumNumbers,
-                        grid_points: int = 8000, quad_nodes: int = 200,
+                        grid_points: int = 2000, quad_nodes: int = 200,
                         energy_factor: float = 1.0) -> VerificationReport:
     """Run every oracle against one state and collect the outcome.
 
+    `grid_points` is the finer of the two FD oracle grids (see _verify_block).
     `energy_factor` multiplies the closed-form level before the residual and
     oracle comparisons (the perturbation detector hook).
     """

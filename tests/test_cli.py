@@ -132,6 +132,18 @@ class TestVerifyCommand:
         _, rows = parse_csv(res.stdout)
         assert any(r[-1] == "false" for r in rows)
 
+    @pytest.mark.parametrize("args, rows", [
+        # n_theta = 8 missed the oracle bound on one 8000-point grid at every L
+        ("verify --dim 3 --w1 5 --w2 2 --levels 8 --lmax 8", 81),
+        # mu_1 = 999, at the edge of the MAX_MU envelope
+        ("verify --dim 3 --w1 999 --w2 2 --levels 1 --lmax 0", 2),
+    ])
+    def test_every_row_certified(self, args, rows):
+        res = run_cli(args.split())
+        assert res.returncode == 0, res.stdout + res.stderr
+        _, table = parse_csv(res.stdout)
+        assert [r[-1] for r in table] == ["true"] * rows
+
     def test_golden_w5_2(self):
         res = run_cli(["verify", "--dim", "3", "--w1", "5", "--w2", "2",
                        "--levels", "4", "--lmax", "2"])
@@ -205,6 +217,10 @@ class TestExitCodes:
         "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 10000000000000000000000",
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --quad-nodes 2001",
+        # the oracle's coarse grid, --grid-points // 2, must keep the 500-point floor
+        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 999",
+        # MAX_GRID_POINTS + 1: past the cap bisection rounding spoils the extrapolation
+        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 29001",
         "verify --dim 3 --w1 5 --w2 2 --levels 100000000000 --lmax 0",
         # mu at --lmax is outside MAX_MU: rejected before the first L block
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 5000",

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
-from sphere_osc.eigenfunctions import eval_f_euclidean, project_to_plane_jacobi
+from sphere_osc.eigenfunctions import MAX_MU, eval_f_euclidean, project_to_plane_jacobi
 from sphere_osc.errors import DomainError, RangeError
-from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers
+from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, mu
 from sphere_osc.special import JacobiParams, jacobi_eval, jacobi_log_norm_sq, log_gamma
 from sphere_osc.spectrum import energy, energy_euclidean, epsilon, spectrum_table
 from sphere_osc.verify import (
     MAX_FD_LEVELS,
     MAX_GRID_POINTS,
     MAX_QUAD_NODES,
+    ORACLE_TOL,
+    _verify_block,
     build_discretized_operator,
     euclidean_limit_scan,
     fd_eigensolve,
@@ -279,6 +283,42 @@ class TestVerificationReport:
         assert not rep.passed
 
 
+def oracle_errors(params, L, n_values):
+    """oracle_energy_relerr of each state, as `verify` computes it at its default grid."""
+    reports = _verify_block(params, L, list(n_values), 2000, 200, 1.0)
+    return [rep.oracle_energy_relerr for rep in reports]
+
+
+class TestExtrapolatedOracle:
+    """The FD oracle is one Richardson step over the grids 2000 and 1000."""
+
+    @pytest.mark.parametrize("N, w1, w2, n_values, L_values", [
+        # n_theta = 8 missed 1e-6 on one 8000-point grid at every L
+        (3, 5.0, 2.0, [8], range(9)),
+        # mu_1 = 999 at the edge of the MAX_MU envelope: 2.4e-6 and 5.8e-6 on 8000 points
+        (3, 999.0, 2.0, [0, 1], [0]),
+        (2, 0.3, 0.2, range(6), range(4)),
+        (2, 0.0, 0.0, range(6), range(4)),
+        # p = mu_2 + 1/2 = 1.6 at theta = 0: matched only since the window reaches p < 5/2
+        (3, 900.0, 1.0, [0, 1], [0]),
+    ], ids=["w5_2-n8", "w999_2", "w0.3_0.2", "free", "w900_1"])
+    def test_error(self, N, w1, w2, n_values, L_values):
+        p = OscillatorParams.from_couplings(N, w1, w2)
+        for L in L_values:
+            errs = oracle_errors(p, L, n_values)
+            assert max(errs) <= 1e-7, f"L={L}: {errs}"
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(N=st.integers(2, 6), L=st.integers(0, 6),
+           w1=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           w2=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    def test_contract_over_the_envelope(self, N, L, w1, w2):
+        p = OscillatorParams.from_couplings(N, w1, w2)
+        assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
+        errs = oracle_errors(p, L, range(6))
+        assert max(errs) <= ORACLE_TOL, errs
+
+
 W5_2 = OscillatorParams.from_couplings(3, 5.0, 2.0)
 W2000 = OscillatorParams.from_couplings(3, 2000.0, 2.0)  # mu_1 = 2000 > MAX_MU
 FLAT = EuclideanParams(N=3, omega=1.0, chi=1.5)
@@ -303,12 +343,15 @@ class TestInputValidation:
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 1.5, 0.5), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, 1, MAX_GRID_POINTS + 1), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, MAX_FD_LEVELS + 1, 1000), DomainError),
+        # the oracle's coarse grid, 999 // 2, is below the operator's floor
+        (lambda: verification_report(W5_2, QuantumNumbers(0, 0), grid_points=999), DomainError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k", "node_count-negative-grid",
             "node_count-empty-grid", "ode_residual-nan-grid", "normalization_check-w2000",
             "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf",
             "project_to_plane_jacobi-r-inf", "gauss_jacobi_rule-nodes-cap",
-            "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap"])
+            "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap",
+            "verification_report-coarse-grid"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
