@@ -44,7 +44,6 @@ from .verify import (
     VerificationReport,
     euclidean_limit_scan,
     fd_eigensolve,
-    fd_eigenvectors,
     gauss_jacobi_rule,
     node_count,
     normalization_check,
@@ -89,7 +88,6 @@ __all__ = [
     "overlap_matrix",
     "ode_residual",
     "fd_eigensolve",
-    "fd_eigenvectors",
     "node_count",
     "euclidean_limit_scan",
     "verification_report",

@@ -14,7 +14,7 @@ import sys
 
 from . import spectrum as spectrum_mod
 from . import verify as verify_mod
-from .eigenfunctions import checked_mu, eval_F_grid, r_from_theta
+from .eigenfunctions import checked_mu, conformal_factor, eval_F_grid, r_from_theta
 from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
@@ -153,8 +153,7 @@ def _cmd_wavefunction(args) -> int:
         rows = []
         for th, f_val in zip(thetas, values):
             r = r_from_theta(params.R, th)
-            prefactor = (1.0 + (r / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0))
-            rows.append((r, prefactor * float(f_val)))
+            rows.append((r, conformal_factor(params, r) * float(f_val)))
         header = ["r", "f"]
     else:
         rows = [(th, float(v)) for th, v in zip(thetas, values)]

@@ -115,19 +115,15 @@ def log_abs_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas):
     weight factors without ever forming an overflowing intermediate; the
     sign is 0 exactly where the polynomial factor vanishes.
     """
-    th = check_range("thetas", np.asarray(thetas, dtype=float), 0.0, math.pi, closed=False)
-    prefactor = _log_prefactor_halfangle(params, qn)
-    log_norm, _, _, mu1, mu2 = prefactor
-    poly = special.jacobi_eval(qn.n_theta, JacobiParams(mu2, mu1), np.cos(th))
-    return _log_abs_F(log_norm, _envelope_terms(prefactor, th), poly)
+    return next(log_abs_F_rows(params, qn.L, qn.n_theta, thetas, n_min=qn.n_theta))
 
 
-def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas):
-    """Yield log_abs_F_grid of the states n_theta = 0..n_max at one L, in turn.
+def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas, n_min: int = 0):
+    """Yield log_abs_F_grid of the states n_theta = n_min..n_max at one L, in turn.
 
     One Jacobi sweep gives every polynomial factor and the angle terms are
-    shared, so each state costs one pass over the grid; every yielded pair
-    equals log_abs_F_grid of its state bit for bit.
+    shared, so each state costs one pass over the grid; rows below n_min
+    cost only their step of the sweep.
     """
     th = check_range("thetas", np.asarray(thetas, dtype=float), 0.0, math.pi, closed=False)
     prefactor = _log_prefactor_halfangle(params, QuantumNumbers(0, L))
@@ -135,8 +131,9 @@ def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas):
     terms = _envelope_terms(prefactor, th)
     polys = special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), np.cos(th))
     for n, poly in enumerate(polys):
-        log_norm = _log_prefactor_halfangle(params, QuantumNumbers(n, L))[0]
-        yield _log_abs_F(log_norm, terms, poly)
+        if n >= n_min:
+            log_norm = _log_prefactor_halfangle(params, QuantumNumbers(n, L))[0]
+            yield _log_abs_F(log_norm, terms, poly)
 
 
 def eval_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas) -> np.ndarray:
@@ -228,11 +225,15 @@ def theta_from_r(R: float, r: float) -> float:
     return 2.0 * math.atan2(r, 2.0 * R)
 
 
+def conformal_factor(params: OscillatorParams, r: float) -> float:
+    """(1 + (r/2R)^2)^-(N/2 - 1): the factor that carries F(theta(r)) onto the tangent plane."""
+    return (1.0 + (r / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0))
+
+
 def project_to_plane(params: OscillatorParams, qn: QuantumNumbers, r: float) -> float:
     """Radial function on the tangent plane, via composition with the projection."""
     theta = theta_from_r(params.R, r)
-    u2 = (r / (2.0 * params.R)) ** 2
-    return (1.0 + u2) ** (-(0.5 * params.N - 1.0)) * eval_F(params, qn, theta)
+    return conformal_factor(params, r) * eval_F(params, qn, theta)
 
 
 def project_to_plane_jacobi(params: OscillatorParams, qn: QuantumNumbers, r: float) -> float:

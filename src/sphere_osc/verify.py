@@ -3,8 +3,9 @@
 Nothing in here trusts the spectrum or eigenfunction formulas: quadrature
 rules come from the Golub-Welsch eigenproblem, eigenvalue oracles from a
 symmetric finite-difference discretization Richardson-extrapolated over two
-grids, and differential-equation residuals from Richardson-extrapolated
-central differences.
+grids, and differential-equation residuals from exact derivatives of the
+closed form, which share its Jacobi recurrence but not its energy formula or
+normalization.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigenfunctions, model, spectrum
+from . import eigenfunctions, model, special, spectrum
 from .errors import DomainError, check_envelope, check_int, check_range, check_real
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 from .special import JacobiParams, log_gamma
@@ -35,6 +36,8 @@ MAX_FD_LEVELS = 20
 # oracle past 1e-7: first at 29 500 points on the 9x9 verify trap.
 MIN_GRID_POINTS = 500
 MAX_GRID_POINTS = 29_000
+
+_ODE_GRID = np.linspace(0.05, math.pi - 0.05, 101)
 
 # Sign changes are counted on this many interior points of (0, pi).
 NODE_GRID_POINTS = 10_000
@@ -177,50 +180,50 @@ def overlap_matrix(params: OscillatorParams, L: int, n_max: int, num_nodes: int 
     return a @ (rule.weights[:, None] * a.T)
 
 
+def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarray) -> np.ndarray:
+    """ode_residual of each n_theta in n_values at one L, tested against the level eps[i]."""
+    prefactor = eigenfunctions._log_prefactor_halfangle(params, QuantumNumbers(0, L))
+    _, e0, e1, mu1, mu2 = prefactor
+    rows, x = np.asarray(n_values), np.cos(th)
+    # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x), zero where n < k
+    p, q1, q2 = (np.pad(list(special.jacobi_sweep(int(rows.max()), JacobiParams(mu2 + k, mu1 + k), x)),
+                        ((k, 0), (0, 0)))[rows] for k in range(3))
+    s = rows[:, None] + mu1 + mu2 + 1.0
+    p_x, p_xx = 0.5 * s * q1, 0.25 * s * (s + 1.0) * q2
+    sin_th, tan_half = np.sin(th), np.tan(0.5 * th)
+    p_t, p_tt = -sin_th * p_x, sin_th**2 * p_xx - x * p_x
+    g_t = 0.5 * (e0 / tan_half - e1 * tan_half)
+    g_tt = -0.25 * (e0 / np.sin(0.5 * th) ** 2 + e1 / np.cos(0.5 * th) ** 2)
+    lr = model.reduce_L(params.N, L)
+    u_pot = (lr * (lr + params.N - 2.0) / sin_th**2
+             + 0.25 * params.w1**2 * tan_half**2 + 0.25 * params.w2**2 / tan_half**2)
+    eps = np.asarray(eps, dtype=float)[:, None]
+    terms = [(g_tt + g_t**2) * p + 2.0 * g_t * p_t + p_tt,
+             (params.N - 1.0) / np.tan(th) * (g_t * p + p_t), -u_pot * p, eps * p]
+    log_env = sum(eigenfunctions._envelope_terms(prefactor, th))
+    # the floor is inf where the envelope is negligible against max|F|: that point weighs nothing
+    with np.errstate(divide="ignore", over="ignore"):
+        log_max = np.max(log_env + np.log(np.abs(p)), axis=1, keepdims=True)
+        floor = np.maximum(1.0, np.abs(eps)) * np.exp(log_max - log_env)
+    scale = np.maximum.reduce([np.abs(t) for t in terms] + [floor])
+    return np.max(np.abs(sum(terms)) / scale, axis=1)
+
+
 def ode_residual(params: OscillatorParams, qn: QuantumNumbers,
                  theta_grid=None, energy: float | None = None) -> float:
     """Worst normalized residual of the quasi-radial equation over a grid.
 
-    Derivatives are Richardson-extrapolated central differences with a step
-    adapted to the local curvature scale.  `energy` overrides the closed-form
-    eigenvalue (used by the perturbation detector).
+    F = C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) with s, c = sin, cos(theta/2), so
+    each term of F'' + (N-1) cot(theta) F' - U F + eps F is formed exactly,
+    divided by C s^e0 c^e1: the envelope through its log-derivative, P_n
+    through d/dx P_n^(a,b) = (n+a+b+1)/2 P_(n-1)^(a+1,b+1) (DLMF 18.9.15).
+    Each point's residual is scaled by its largest term, floored at
+    max(1, |eps|) max|F|.  `energy` overrides the closed-form level.
     """
-    if theta_grid is None:
-        theta_grid = np.linspace(0.05, math.pi - 0.05, 101)
-    th = check_range("theta_grid", np.asarray(theta_grid, dtype=float), 0.0, math.pi, closed=False)
+    th = np.asarray(_ODE_GRID if theta_grid is None else theta_grid, dtype=float)
+    check_range("theta_grid", th, 0.0, math.pi, closed=False)
     eps = spectrum.epsilon(params, qn) if energy is None else energy / params.energy_unit
-    lr = model.reduce_L(params.N, qn.L)
-    c_l = lr * (lr + params.N - 2.0)
-    w1, w2 = params.w1, params.w2
-
-    u_pot = (
-        c_l / np.sin(th) ** 2
-        + 0.25 * w1 * w1 * np.tan(0.5 * th) ** 2
-        + 0.25 * w2 * w2 / np.tan(0.5 * th) ** 2
-    )
-    h = 0.008 / np.sqrt(1.0 + abs(eps) + np.abs(u_pot))
-    h = np.minimum(h, np.minimum(th, math.pi - th) / 4.0)
-
-    points = np.concatenate([th, th + h, th - h, th + 0.5 * h, th - 0.5 * h])
-    vals = eigenfunctions.eval_F_grid(params, qn, points).reshape(5, th.size)
-    f0, fp1, fm1, fph, fmh = vals
-
-    d1_h = (fp1 - fm1) / (2.0 * h)
-    d1_h2 = (fph - fmh) / h
-    d1 = (4.0 * d1_h2 - d1_h) / 3.0
-    d2_h = (fp1 - 2.0 * f0 + fm1) / h**2
-    d2_h2 = (fph - 2.0 * f0 + fmh) / (0.5 * h) ** 2
-    d2 = (4.0 * d2_h2 - d2_h) / 3.0
-
-    t_d2 = d2
-    t_d1 = (params.N - 1.0) / np.tan(th) * d1
-    t_pot = -u_pot * f0
-    t_eps = eps * f0
-    residual = np.abs(t_d2 + t_d1 + t_pot + t_eps)
-    floor = max(1.0, abs(eps)) * float(np.max(np.abs(f0)))
-    scale = np.maximum.reduce([np.abs(t_d2), np.abs(t_d1), np.abs(t_pot), np.abs(t_eps)])
-    scale = np.maximum(scale, floor)
-    return float(np.max(residual / scale))
+    return float(_ode_residuals(params, qn.L, [qn.n_theta], [eps], th)[0])
 
 
 def _apply_matched_end(diagonal: np.ndarray, dist: np.ndarray, h: float,
@@ -228,10 +231,11 @@ def _apply_matched_end(diagonal: np.ndarray, dist: np.ndarray, h: float,
     """Fix up one singular endpoint of the discretized operator in place.
 
     `dist` holds distances from that pole (cell-centered, dist[0] = h/2).
-    For p < 3/2 the pointwise strength/x^2 samples inside the window are
-    replaced by the discrete coefficient that makes the stencil annihilate
-    x^p, and the boundary row gets the matching folded value; otherwise the
-    boundary row just folds in the antisymmetric ghost (a wall at x = 0).
+    For p < _MATCHED_EXPONENT_MAX = 5/2 the pointwise strength/x^2 samples
+    inside the window are replaced by the discrete coefficient that makes the
+    stencil annihilate x^p, and the boundary row gets the matching folded
+    value; otherwise the boundary row just folds in the antisymmetric ghost
+    (a wall at x = 0).
     """
     if p < _MATCHED_EXPONENT_MAX:
         win = np.nonzero(dist < _MATCHED_WINDOW)[0]
@@ -295,37 +299,6 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     return vals
 
 
-def fd_eigenvectors(params: OscillatorParams, L: int, k_levels: int, grid_points: int):
-    """Eigenvalues and reduced-function eigenvectors of the discretized operator.
-
-    Vectors are converted back to F = G / sin^((N-1)/2)(theta), normalized to
-    R^N * sum sin^(N-1)(theta_i) F_i^2 h = 1 and sign-aligned to be positive
-    at the grid point nearest theta = pi/2.
-    """
-    check_int("k_levels", k_levels, 1)
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
-    op = build_discretized_operator(params, L, grid_points)
-    try:
-        vals, vecs = eigh_tridiagonal(op.diagonal, op.offdiag,
-                                      select="i", select_range=(0, k_levels - 1))
-    except LinAlgError as exc:
-        raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
-    th = op.grid
-    h = th[1] - th[0]
-    weight = np.sin(th) ** (0.5 * (params.N - 1.0))
-    mid = int(np.argmin(np.abs(th - 0.5 * math.pi)))
-    f_vecs = []
-    for j in range(vecs.shape[1]):
-        f = vecs[:, j] / weight
-        norm = params.R ** params.N * h * float(np.sum(np.sin(th) ** (params.N - 1) * f * f))
-        f = f / math.sqrt(norm)
-        if f[mid] < 0.0:
-            f = -f
-        f_vecs.append(f)
-    return vals, th, np.array(f_vecs)
-
-
 def _node_grid(grid_points: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
 
@@ -383,11 +356,11 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     """Run every oracle against the states n_theta in n_values at one L.
 
     The FD oracle, the matched quadrature rule and the Jacobi sweeps on the
-    quadrature and node-count grids depend on L only, so each is built once
-    and shared by all n_theta.  The FD oracle is one Richardson step over the
-    grids grid_points and grid_points // 2, which cancels the O(h^2) error
-    of the single-grid eigenvalues.  The ODE residual stays per state: its
-    step adapts to the level.
+    quadrature, node-count and residual grids depend on L only, so each is
+    built once and shared by all n_theta; nothing is evaluated per state.
+    The FD oracle is one Richardson step over the grids grid_points and
+    grid_points // 2, which cancels the O(h^2) error of the single-grid
+    eigenvalues.
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
@@ -402,18 +375,15 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     nodes = [_sign_changes(sign * np.exp(log_abs))
              for log_abs, sign in eigenfunctions.log_abs_F_rows(
                  params, L, n_max, _node_grid(NODE_GRID_POINTS))]
-    reports = []
-    for n in n_values:
-        qn = QuantumNumbers(n, L)
-        eps = spectrum.epsilon(params, qn) * energy_factor
-        reports.append(VerificationReport(
-            state=qn,
-            normalization_error=abs(norms[n] - 1.0),
-            max_ode_residual=ode_residual(params, qn, energy=eps * params.energy_unit),
-            oracle_energy_relerr=abs(float(fd[n]) - eps) / max(abs(eps), 1.0),
-            node_count_match=nodes[n] == n,
-        ))
-    return reports
+    eps = [spectrum.epsilon(params, QuantumNumbers(n, L)) * energy_factor for n in n_values]
+    residuals = _ode_residuals(params, L, n_values, eps, _ODE_GRID)
+    return [VerificationReport(
+        state=QuantumNumbers(n, L),
+        normalization_error=abs(norms[n] - 1.0),
+        max_ode_residual=float(resid),
+        oracle_energy_relerr=abs(float(fd[n]) - e) / max(abs(e), 1.0),
+        node_count_match=nodes[n] == n,
+    ) for n, e, resid in zip(n_values, eps, residuals)]
 
 
 def verification_report(params: OscillatorParams, qn: QuantumNumbers,

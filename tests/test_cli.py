@@ -137,12 +137,17 @@ class TestVerifyCommand:
         ("verify --dim 3 --w1 5 --w2 2 --levels 8 --lmax 8", 81),
         # mu_1 = 999, at the edge of the MAX_MU envelope
         ("verify --dim 3 --w1 999 --w2 2 --levels 1 --lmax 0", 2),
+        # the finite-difference ODE residual gave 1.5e-8 and 7.5e-6 here
+        ("verify --dim 3 --w1 900 --w2 1 --levels 1 --lmax 0", 2),
+        ("verify --dim 2 --w1 0.02445 --w2 0.8257 --levels 1 --lmax 0", 2),
     ])
     def test_every_row_certified(self, args, rows):
         res = run_cli(args.split())
         assert res.returncode == 0, res.stdout + res.stderr
-        _, table = parse_csv(res.stdout)
+        header, table = parse_csv(res.stdout)
         assert [r[-1] for r in table] == ["true"] * rows
+        resid = header.index("max_ode_residual")
+        assert max(float(r[resid]) for r in table) <= 1e-8
 
     def test_golden_w5_2(self):
         res = run_cli(["verify", "--dim", "3", "--w1", "5", "--w2", "2",

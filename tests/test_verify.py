@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
-from sphere_osc.eigenfunctions import MAX_MU, eval_f_euclidean, project_to_plane_jacobi
+from sphere_osc.eigenfunctions import MAX_MU, eval_F_grid, eval_f_euclidean, project_to_plane_jacobi
 from sphere_osc.errors import DomainError, RangeError
-from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, mu
+from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, mu, reduce_L
 from sphere_osc.special import JacobiParams, jacobi_eval, jacobi_log_norm_sq, log_gamma
 from sphere_osc.spectrum import energy, energy_euclidean, epsilon, spectrum_table
 from sphere_osc.verify import (
@@ -20,7 +21,6 @@ from sphere_osc.verify import (
     build_discretized_operator,
     euclidean_limit_scan,
     fd_eigensolve,
-    fd_eigenvectors,
     gauss_jacobi_rule,
     loglog_slope,
     node_count,
@@ -139,13 +139,63 @@ class TestOverlap:
         assert abs(m[0, 0] - 1.0) <= 1e-12
 
 
+def stencil_ode_residual(params, qn, theta_grid=None, energy=None):
+    """ode_residual with the derivatives of F taken numerically, as an independent oracle.
+
+    Richardson-extrapolated central differences with a step adapted to the
+    local curvature scale and kept a quarter of the distance from the poles;
+    same equation, per-point scale and floor as ode_residual.
+    """
+    th = np.linspace(0.05, math.pi - 0.05, 101) if theta_grid is None else np.asarray(theta_grid)
+    eps = epsilon(params, qn) if energy is None else energy / params.energy_unit
+    lr = reduce_L(params.N, qn.L)
+    u_pot = (
+        lr * (lr + params.N - 2.0) / np.sin(th) ** 2
+        + 0.25 * params.w1**2 * np.tan(0.5 * th) ** 2
+        + 0.25 * params.w2**2 / np.tan(0.5 * th) ** 2
+    )
+    h = 0.008 / np.sqrt(1.0 + abs(eps) + np.abs(u_pot))
+    h = np.minimum(h, np.minimum(th, math.pi - th) / 4.0)
+
+    points = np.concatenate([th, th + h, th - h, th + 0.5 * h, th - 0.5 * h])
+    f0, fp1, fm1, fph, fmh = eval_F_grid(params, qn, points).reshape(5, th.size)
+    d1 = (4.0 * (fph - fmh) / h - (fp1 - fm1) / (2.0 * h)) / 3.0
+    d2 = (4.0 * (fph - 2.0 * f0 + fmh) / (0.5 * h) ** 2 - (fp1 - 2.0 * f0 + fm1) / h**2) / 3.0
+
+    terms = [d2, (params.N - 1.0) / np.tan(th) * d1, -u_pot * f0, eps * f0]
+    floor = max(1.0, abs(eps)) * float(np.max(np.abs(f0)))
+    scale = np.maximum(np.maximum.reduce([np.abs(t) for t in terms]), floor)
+    return float(np.max(np.abs(sum(terms)) / scale))
+
+
 class TestOdeResidual:
     def test_exact_eigenpairs(self):
         for (N, w1, w2, n, L) in [(2, 0.0, 0.0, 1, 0), (2, 1.0, 1.0, 0, 0),
                                   (5, 5.0, 2.0, 4, 2), (3, 1.0, 0.0, 2, 1)]:
             p = OscillatorParams.from_couplings(N, w1, w2)
-            got = ode_residual(p, QuantumNumbers(n, L))
-            assert got <= 1e-8, f"state ({n},{L}) N={N}: residual {got:.2e}"
+            for residual in (ode_residual, stencil_ode_residual):
+                got = residual(p, QuantumNumbers(n, L))
+                assert got <= 1e-8, f"{residual.__name__} ({n},{L}) N={N}: {got:.2e}"
+
+    def test_envelope_underflows_on_the_grid(self):
+        # F underflows to 0 at theta = 2.27 (mu_1 = 900); the stencil's floor is 0 there
+        p = OscillatorParams.from_couplings(3, 900.0, 1.0)
+        got = ode_residual(p, QuantumNumbers(0, 0), [2.27])
+        assert math.isfinite(got) and got <= 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(N=st.integers(2, 6), L=st.integers(0, 6),
+           w1=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+           w2=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+    def test_contract_over_the_envelope(self, N, L, w1, w2):
+        p = OscillatorParams.from_couplings(N, w1, w2)
+        assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
+        for n in range(6):
+            qn = QuantumNumbers(n, L)
+            assert ode_residual(p, qn) <= 1e-8
+            e = energy(p, qn)
+            if abs(epsilon(p, qn)) >= 1.0:
+                assert ode_residual(p, qn, energy=e * 1.001) >= 1e-4
 
     def test_perturbed_energy_detected(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
@@ -157,6 +207,25 @@ class TestOdeResidual:
         p = OscillatorParams(N=2)
         with pytest.raises(DomainError):
             ode_residual(p, QuantumNumbers(0, 0), theta_grid=[0.0, 1.0])
+
+
+def fd_eigenvectors(params, L, k_levels, grid_points):
+    """Eigenvalues and eigenvectors F of the discretized operator.
+
+    Vectors are converted back to F = G / sin^((N-1)/2)(theta), normalized to
+    R^N * sum sin^(N-1)(theta_i) F_i^2 h = 1 and sign-aligned to be positive
+    at the grid point nearest theta = pi/2.
+    """
+    op = build_discretized_operator(params, L, grid_points)
+    vals, vecs = eigh_tridiagonal(op.diagonal, op.offdiag,
+                                  select="i", select_range=(0, k_levels - 1))
+    th = op.grid
+    h = th[1] - th[0]
+    f = vecs.T / np.sin(th) ** (0.5 * (params.N - 1.0))
+    norm = params.R ** params.N * h * np.sum(np.sin(th) ** (params.N - 1) * f * f, axis=1)
+    f /= np.sqrt(norm)[:, None]
+    mid = int(np.argmin(np.abs(th - 0.5 * math.pi)))
+    return vals, th, f * np.sign(f[:, mid])[:, None]
 
 
 class TestFdEigensolve:
@@ -205,7 +274,6 @@ class TestFdEigensolve:
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
         qn = QuantumNumbers(1, 0)
         vals, th, vecs = fd_eigenvectors(p, 0, 2, 4000)
-        from sphere_osc.eigenfunctions import eval_F_grid
         h = th[1] - th[0]
         exact = eval_F_grid(p, qn, th)
         # compare on the interior half to dodge endpoint discretization
