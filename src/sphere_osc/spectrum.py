@@ -10,9 +10,6 @@ from . import model
 from .errors import DomainError, RangeError, check_envelope, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
-# Relative tolerance for the internal product-form vs expanded-form cross-check.
-_FORM_AGREEMENT_RTOL = 1.0e-12
-
 # Largest number of levels, (n_max + 1) * (L_max + 1), in one spectrum table.
 MAX_LEVELS = 10**6
 
@@ -26,56 +23,51 @@ class SpectrumTable(NamedTuple):
     energy: np.ndarray
 
 
-def _certify(what: str, eps_a, eps_b, n, L, unit: float):
-    """Raise RangeError at the first (n_theta, L), L-major, whose level is not certified.
+def _certify(what: str, eps, n, L, unit: float):
+    """Raise RangeError at the first (n_theta, L), L-major, whose level is not finite.
 
-    Certified means the forms eps_a and eps_b agree to _FORM_AGREEMENT_RTOL
-    and eps_a * unit is finite.  Takes scalars or arrays broadcast over (L, n_theta).
+    Finite as eps * unit implies finite as eps, the unit being finite and
+    positive.  Takes scalars or arrays broadcast over (L, n_theta).
     """
-    with np.errstate(all="ignore"):
-        gap = np.abs(eps_a - eps_b) / np.maximum(np.maximum(np.abs(eps_a), np.abs(eps_b)), 1.0)
-        bad = ~((gap <= _FORM_AGREEMENT_RTOL) & np.isfinite(eps_a * unit))
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(eps * unit)
     if bad.any():
-        bad, n, L, eps_a, eps_b = (np.ravel(x) for x in np.broadcast_arrays(bad, n, L, eps_a, eps_b))
+        bad, n, L, eps = (np.ravel(x) for x in np.broadcast_arrays(bad, n, L, eps))
         i = int(np.argmax(bad))
-        raise RangeError(f"{what} of (n_theta, L) = ({n[i]}, {L[i]}) cannot be certified: "
-                         f"forms {float(eps_a[i])!r} and {float(eps_b[i])!r}, energy unit {unit!r}")
+        raise RangeError(f"{what} of (n_theta, L) = ({n[i]}, {L[i]}) is not finite: "
+                         f"epsilon {float(eps[i])!r}, energy unit {unit!r}")
 
 
-def _epsilon_product(N: int, n: int, mu1: float, mu2: float, w1: float, w2: float) -> float:
-    a = 0.5 * (mu1 + mu2)
-    return (n + 0.5 * N + a) * (n + 1.0 - 0.5 * N + a) - 0.25 * (w1 * w1 + w2 * w2)
-
-
-def _epsilon_expanded(N: int, n: int, half: float, mu1: float, mu2: float) -> float:
-    return (
-        (n + 0.5 * N) * (n + 1.0 - 0.5 * N)
-        + 0.5 * half * half
-        + (n + 0.5) * (mu1 + mu2)
-        + 0.5 * mu1 * mu2
-    )
+def _coupling_shift(params: OscillatorParams, L: int, k: int) -> float:
+    """mu_k - (L + N/2 - 1), formed as w_k^2 / (mu_k + L + N/2 - 1) without cancellation."""
+    w = params.coupling(k)
+    return w * (w / (model.mu(params, L, k) + model.half_index(params.N, L))) if w else 0.0
 
 
 def _certified_levels(params: OscillatorParams, n, L_values, unit: float) -> np.ndarray:
-    """Certified product-form levels on the grid L_values x n, mu and L + N/2 - 1 once per L.
+    """Levels (see `epsilon`) on the grid L_values x n, certified finite; L terms once per L.
 
-    numpy's elementwise + - * round as Python floats do: the scalar route is the 1 x 1 grid.
+    No term cancels another, so a level keeps full precision until it
+    overflows.  numpy's elementwise + - * round as Python floats do: the
+    scalar route is the 1 x 1 grid.
     """
-    half, mu1, mu2 = np.array([(model.half_index(params.N, L), model.mu(params, L, 1),
-                                model.mu(params, L, 2)) for L in L_values]).T[:, :, None]
-    with np.errstate(all="ignore"):  # an overflow is reported by _certify instead
-        eps_a = _epsilon_product(params.N, n, mu1, mu2, params.w1, params.w2)
-        eps_b = _epsilon_expanded(params.N, n, half, mu1, mu2)
-    _certify("energy", eps_a, eps_b, n, np.array(L_values)[:, None], unit)
-    return eps_a
+    N = params.N
+    lr, half, d1, d2 = np.array([(model.reduce_L(N, L), model.half_index(N, L),
+                                  _coupling_shift(params, L, 1), _coupling_shift(params, L, 2))
+                                 for L in L_values]).T[:, :, None]
+    with np.errstate(over="ignore"):  # an overflow is reported by _certify instead
+        eps = (n + lr) * (n + lr + (N - 1)) + (n + 0.5 + 0.5 * half) * (d1 + d2) + 0.5 * d1 * d2
+    _certify("energy", eps, n, np.array(L_values)[:, None], unit)
+    return eps
 
 
 def epsilon(params: OscillatorParams, qn: QuantumNumbers) -> float:
     """Dimensionless level 2 m R^2 E / hbar^2 for the general potential.
 
-    Evaluates the product form, cross-checks the expanded form against it,
-    and returns the product form; a level whose forms disagree (as they do
-    at large couplings) or that is not finite raises RangeError.
+    The expanded closed form (n + N/2)(n + 1 - N/2) + h^2/2 + (n + 1/2)(mu1 + mu2)
+    + mu1 mu2 / 2, h = L + N/2 - 1, summed as the free level (n + L)(n + L + N - 1)
+    plus (n + 1/2 + h/2)(d1 + d2) + d1 d2 / 2 with d_k = mu_k - h.  A level that
+    is not finite raises RangeError.
     """
     return float(_certified_levels(params, qn.n_theta, [qn.L], 1.0)[0, 0])
 
@@ -94,33 +86,23 @@ def energy_equal_omegas(params: OscillatorParams, qn: QuantumNumbers) -> float:
     mu_l = model.mu(params, qn.L, 1)
     half = model.half_index(params.N, qn.L)
     n, N = qn.n_theta, params.N
-    eps_a = (n + 0.5 * N + mu_l) * (n + 1.0 - 0.5 * N + mu_l) - 0.5 * w * w
-    eps_b = (n + 0.5 * N) * (n + 1.0 - 0.5 * N) + half * half + (2.0 * n + 1.0) * mu_l + 0.5 * w * w
-    _certify("equal-trap energy", eps_a, eps_b, n, qn.L, params.energy_unit)
-    return eps_a * params.energy_unit
+    eps = (n + 0.5 * N) * (n + 1.0 - 0.5 * N) + half * half + (2.0 * n + 1.0) * mu_l + 0.5 * w * w
+    _certify("equal-trap energy", eps, n, qn.L, params.energy_unit)
+    return eps * params.energy_unit
 
 
 def energy_omega2_zero(params: OscillatorParams, qn: QuantumNumbers) -> float:
     """Level for the single-trap case omega2 == 0 (isotropic-oscillator analogue)."""
     if params.omega2 != 0.0:
         raise DomainError("energy_omega2_zero requires omega2 == 0")
-    w = params.w1
     mu_l = model.mu(params, qn.L, 1)
     half = model.half_index(params.N, qn.L)
     lr = model.reduce_L(params.N, qn.L)
     n, N = qn.n_theta, params.N
-    eps_a = (
-        (n + 0.5 * lr + 0.75 * N - 0.5 + 0.5 * mu_l)
-        * (n + 0.5 * lr - 0.25 * N + 0.5 + 0.5 * mu_l)
-        - 0.25 * w * w
-    )
-    eps_b = (
-        (n + 0.5 * lr + 0.75 * N - 0.5) * (n + 0.5 * lr - 0.25 * N + 0.5)
-        + 0.25 * half * half
-        + (n + 0.5 * lr + 0.25 * N) * mu_l
-    )
-    _certify("single-trap energy", eps_a, eps_b, n, qn.L, params.energy_unit)
-    return eps_a * params.energy_unit
+    eps = ((n + 0.5 * lr + 0.75 * N - 0.5) * (n + 0.5 * lr - 0.25 * N + 0.5)
+           + 0.25 * half * half + (n + 0.5 * lr + 0.25 * N) * mu_l)
+    _certify("single-trap energy", eps, n, qn.L, params.energy_unit)
+    return eps * params.energy_unit
 
 
 def energy_euclidean(eparams: EuclideanParams, n_r: int, L: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenfunctions, model, special, spectrum
-from .errors import DomainError, check_envelope, check_int, check_range, check_real
+from .errors import DomainError, RangeError, check_envelope, check_int, check_range, check_real
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 from .special import JacobiParams, log_gamma
 
@@ -38,6 +38,11 @@ MIN_GRID_POINTS = 500
 MAX_GRID_POINTS = 29_000
 
 _ODE_GRID = np.linspace(0.05, math.pi - 0.05, 101)
+# Nearer theta = 0 the residual's terms (1/sin^2, the envelope's log-derivative
+# squared, times P_n(1)) overflow: over mu <= MAX_MU the worst state, mu_2 = 1000,
+# stays finite to 1e-122 at n_theta = 30 (1e-79 at 100).  A double comes no
+# closer to pi than 4.4e-16.
+_ODE_THETA_MIN = 1.0e-120
 
 # Sign changes are counted on this many interior points of (0, pi).
 NODE_GRID_POINTS = 10_000
@@ -218,10 +223,14 @@ def ode_residual(params: OscillatorParams, qn: QuantumNumbers,
     divided by C s^e0 c^e1: the envelope through its log-derivative, P_n
     through d/dx P_n^(a,b) = (n+a+b+1)/2 P_(n-1)^(a+1,b+1) (DLMF 18.9.15).
     Each point's residual is scaled by its largest term, floored at
-    max(1, |eps|) max|F|.  `energy` overrides the closed-form level.
+    max(1, |eps|) max|F|.  `energy` overrides the closed-form level.  Grid
+    points closer than _ODE_THETA_MIN to theta = 0 raise RangeError.
     """
     th = np.asarray(_ODE_GRID if theta_grid is None else theta_grid, dtype=float)
     check_range("theta_grid", th, 0.0, math.pi, closed=False)
+    if th.min() < _ODE_THETA_MIN:
+        raise RangeError(f"theta_grid point {float(th.min())!r} is closer to theta = 0 "
+                         f"than {_ODE_THETA_MIN:g}, where the residual's terms overflow")
     eps = spectrum.epsilon(params, qn) if energy is None else energy / params.energy_unit
     return float(_ode_residuals(params, qn.L, [qn.n_theta], [eps], th)[0])
 
@@ -364,8 +373,10 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
-    # the matched rule checks the mu envelope, so it is formed before the FD solve
+    # the mu envelope (in the matched rule) and finite levels are checked before the FD solve
     rule, theta, measure_log = _matched_rule(params, L, quad_nodes)
+    eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
+                      * energy_factor) for n in n_values]
     fine, coarse = grid_points, grid_points // 2
     fd = ((fine**2 * fd_eigensolve(params, L, n_max + 1, fine)
            - coarse**2 * fd_eigensolve(params, L, n_max + 1, coarse))
@@ -375,7 +386,6 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     nodes = [_sign_changes(sign * np.exp(log_abs))
              for log_abs, sign in eigenfunctions.log_abs_F_rows(
                  params, L, n_max, _node_grid(NODE_GRID_POINTS))]
-    eps = [spectrum.epsilon(params, QuantumNumbers(n, L)) * energy_factor for n in n_values]
     residuals = _ode_residuals(params, L, n_values, eps, _ODE_GRID)
     return [VerificationReport(
         state=QuantumNumbers(n, L),

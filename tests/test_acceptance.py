@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
+from oracle_forms import epsilon_product, hyp2f1_terminating
 from sphere_osc.eigenfunctions import (
     eval_F,
     eval_F_form_a,
@@ -28,21 +29,17 @@ from sphere_osc.model import (
     OscillatorParams,
     QuantumNumbers,
     big_lambda,
-    half_index,
     mu,
 )
 from sphere_osc.special import (
     JacobiParams,
     gegenbauer_eval,
-    hyp2f1_terminating,
     jacobi_eval,
     jacobi_log_endpoint,
     laguerre_eval,
     log_gamma,
 )
 from sphere_osc.spectrum import (
-    _epsilon_expanded,
-    _epsilon_product,
     energy,
     energy_equal_omegas,
     energy_euclidean,
@@ -138,8 +135,7 @@ def test_criterion_2_form_equivalences():
 
         p_gen = OscillatorParams.from_couplings(n_dim, w1, w2)
         m1, m2 = mu(p_gen, ang, 1), mu(p_gen, ang, 2)
-        worst = max(worst, rel(_epsilon_product(n_dim, n, m1, m2, w1, w2),
-                               _epsilon_expanded(n_dim, n, half_index(n_dim, ang), m1, m2)))
+        worst = max(worst, rel(epsilon_product(n_dim, n, m1, m2, w1, w2), epsilon(p_gen, qn)))
         worst = max(worst, rel(eval_F(p_gen, qn, theta), eval_F_form_a(p_gen, qn, theta)))
 
         p_single = OscillatorParams.from_couplings(n_dim, w1, 0.0)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from oracle_forms import mp_epsilon
+
 CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,14 +53,35 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("args, digest", [
         ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200",
-         "276216b54ef90caa062c4bd67723af313438a42b4eea8f142411a3622e38c3f0"),
+         "d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504"),
         ("spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json",
-         "6d9c9e812e8b5f63d062adb891e0714d04d4c15ac52776891cccf920b6916045"),
+         "7fd6a9ec76adfbb8750c283f598bd2d93fb31b9654ded0fbfd4054eabe171913"),
     ])
     def test_stdout_sha256(self, args, digest):
         res = subprocess.run(CLI + args.split(), capture_output=True)
         assert res.returncode == 0
         assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+    @pytest.mark.parametrize("w1", ["1e8", "1e9"])
+    def test_large_coupling_matches_mpmath(self, w1):
+        # rejected while a product form cancelling w^2/4 cross-checked every level
+        res = run_cli(["spectrum", "--dim", "3", "--w1", w1, "--w2", "3",
+                       "--nmax", "1", "--lmax", "1"])
+        assert res.returncode == 0, res.stderr
+        _, rows = parse_csv(res.stdout)
+        assert len(rows) == 4
+        for n, L, eps, _ in rows:
+            want = mp_epsilon(3, int(n), int(L), float(w1), 3.0)
+            assert abs(float(eps) - want) <= 1e-15 * abs(want)
+
+    def test_flat_limit_at_huge_radius(self):
+        # w1 = 4e300: the levels are hbar omega (2 n + L + 3/2) up to a relative 1e-300
+        res = run_cli(["spectrum", "--dim", "3", "--omega1", "1", "--radius", "1e150",
+                       "--nmax", "1", "--lmax", "1"])
+        assert res.returncode == 0, res.stderr
+        _, rows = parse_csv(res.stdout)
+        for row, want in zip(rows, [1.5, 2.5, 3.5, 4.5]):
+            assert abs(float(row[3]) - want) <= 2 * math.ulp(want)
 
     def test_json_shape(self):
         res = run_cli(["spectrum", "--dim", "2", "--w1", "0", "--w2", "0",
@@ -212,10 +235,9 @@ class TestExitCodes:
         # R**2 underflows, so the energy unit divides by zero
         "spectrum --dim 3 --radius 1e-200 --nmax 0 --lmax 0",
         "verify --dim 2 --w1 5 --w2 2 --levels 0 --lmax 0 --perturb-energy nan",
-        # the product and expanded energy forms disagree beyond 1e-12
-        "spectrum --dim 3 --w1 1e8 --w2 3 --nmax 1 --lmax 1",
-        "spectrum --dim 3 --w1 1e9 --w2 3 --nmax 1 --lmax 1",
-        # w^2 overflows, so the levels are NaN
+        # the perturbed level overflows to inf before the FD solve
+        "verify --dim 3 --w1 5 --w2 2 --levels 1 --lmax 1 --perturb-energy 1e308",
+        # the level overflows
         "spectrum --dim 3 --w1 1e300 --w2 1e300",
         # size caps, checked before anything is allocated
         "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",

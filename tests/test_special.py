@@ -1,16 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from oracle_forms import hyp2f1_terminating, jacobi_log_norm_sq
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.special import (
     JacobiParams,
     gegenbauer_eval,
-    hyp2f1_terminating,
     jacobi_eval,
     jacobi_log_endpoint,
-    jacobi_log_norm_sq,
     jacobi_sweep,
     laguerre_eval,
     log_gamma,
@@ -29,7 +29,7 @@ class TestLogGamma:
         assert rel(log_gamma(5.0), math.log(24.0)) <= 1e-13
 
     def test_against_stdlib(self):
-        # math.lgamma is an independent implementation (platform libm)
+        # log_gamma is math.lgamma behind the domain check
         xs = np.concatenate([
             np.geomspace(1e-3, 1e7, 500),
             np.random.default_rng(7).uniform(0.01, 50.0, 200),
@@ -38,6 +38,22 @@ class TestLogGamma:
             ref = math.lgamma(x)
             err = abs(log_gamma(float(x)) - ref) / max(abs(ref), 1.0)
             assert err <= 1e-13, f"x={x}: err={err:.2e}"
+
+    def test_against_mpmath(self):
+        xs = np.concatenate([
+            np.geomspace(1e-2, 1e7, 500),
+            np.random.default_rng(11).uniform(0.01, 50.0, 200),
+        ])
+        with mpmath.workdps(40):
+            for x in xs:
+                ref = mpmath.loggamma(float(x))
+                err = float(abs(log_gamma(float(x)) - ref) / max(abs(ref), 1.0))
+                assert err <= 2e-15, f"x={x}: err={err:.2e}"
+
+    def test_overflow_is_inf(self):
+        # math.lgamma raises OverflowError from x = 2.6e305; the value is past the largest double
+        assert log_gamma(1e306) == math.inf
+        assert math.isfinite(log_gamma(2.5e305))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain(self, bad):

@@ -6,8 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_forms import (
+    epsilon_product,
+    epsilon_product_equal_omegas,
+    epsilon_product_omega2_zero,
+    mp_epsilon,
+)
 from sphere_osc.errors import DomainError, RangeError
-from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, finite_radius_params
+from sphere_osc.model import (
+    EuclideanParams,
+    OscillatorParams,
+    QuantumNumbers,
+    finite_radius_params,
+    mu,
+)
 from sphere_osc.spectrum import (
     MAX_LEVELS,
     energy,
@@ -67,8 +79,6 @@ class TestGeneralEnergy:
 
     def test_product_vs_expanded_randomized(self):
         rng = np.random.default_rng(41)
-        from sphere_osc.spectrum import _epsilon_expanded, _epsilon_product
-        from sphere_osc.model import half_index, mu
         for _ in range(1000):
             N = int(rng.integers(2, 8))
             L = int(rng.integers(0, 6))
@@ -76,10 +86,33 @@ class TestGeneralEnergy:
             w1 = float(rng.uniform(0.0, 10.0))
             w2 = float(rng.uniform(0.0, 10.0))
             p = OscillatorParams.from_couplings(N, w1, w2)
-            m1, m2 = mu(p, L, 1), mu(p, L, 2)
-            a = _epsilon_product(N, n, m1, m2, w1, w2)
-            b = _epsilon_expanded(N, n, half_index(N, L), m1, m2)
-            assert rel(a, b) <= 1e-12
+            a = epsilon_product(N, n, mu(p, L, 1), mu(p, L, 2), w1, w2)
+            assert rel(a, epsilon(p, QuantumNumbers(n, L))) <= 1e-12
+
+    @pytest.mark.parametrize("w1", [1e8, 1e9])
+    def test_large_coupling_matches_mpmath(self, w1):
+        # the product form lost these levels to its w^2/4 cancellation
+        p = OscillatorParams.from_couplings(3, w1, 3.0)
+        for n in range(2):
+            for L in range(2):
+                want = mp_epsilon(3, n, L, w1, 3.0)
+                assert rel(epsilon(p, QuantumNumbers(n, L)), want) <= 1e-15
+        table = spectrum_table(p, 1, 1)
+        for n, L, eps in zip(table.n_theta.tolist(), table.L.tolist(), table.epsilon.tolist()):
+            assert rel(eps, mp_epsilon(3, n, L, w1, 3.0)) <= 1e-15
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(0, 30), st.integers(0, 30),
+       st.one_of(st.just(0.0), st.floats(-4.0, 150.0).map(lambda e: 10.0**e)),
+       st.one_of(st.just(0.0), st.floats(-4.0, 150.0).map(lambda e: 10.0**e)))
+# summed as printed, the expanded form loses 1.3e-15 here: (n + N/2)(n + 1 - N/2) = -12 cancels
+@example(8, 0, 0, 0.00014508004107708025, 0.04566368869192405)
+def test_epsilon_against_mpmath(N, n, L, w1, w2):
+    """The expanded form keeps full precision over the whole coupling range."""
+    got = epsilon(OscillatorParams.from_couplings(N, w1, w2), QuantumNumbers(n, L))
+    want = mp_epsilon(N, n, L, w1, w2)
+    assert abs(got - want) <= 1e-15 * max(abs(want), 1.0)
 
 
 class TestSpecialCaseForms:
@@ -112,6 +145,21 @@ class TestSpecialCaseForms:
         assert rel(energy_omega2_zero(p, qn), energy(p, qn)) <= 1e-12
         fd = fd_eigensolve(p, 2, 4, 8000)[3]
         assert rel(fd, epsilon(p, qn)) <= 1e-6
+
+    def test_product_forms_randomized(self):
+        rng = np.random.default_rng(43)
+        for _ in range(1000):
+            N = int(rng.integers(2, 8))
+            L = int(rng.integers(0, 6))
+            n = int(rng.integers(0, 9))
+            w = float(rng.uniform(0.0, 10.0))
+            qn = QuantumNumbers(n, L)
+            p = OscillatorParams.from_couplings(N, w, w)
+            want = epsilon_product_equal_omegas(N, n, mu(p, L, 1), w) * p.energy_unit
+            assert rel(energy_equal_omegas(p, qn), want) <= 1e-12
+            p = OscillatorParams.from_couplings(N, w, 0.0)
+            want = epsilon_product_omega2_zero(N, n, L, mu(p, L, 1), w) * p.energy_unit
+            assert rel(energy_omega2_zero(p, qn), want) <= 1e-12
 
     def test_omega2_zero_rejects_nonzero(self):
         p = OscillatorParams.from_couplings(2, 1.0, 0.1)
@@ -227,11 +275,10 @@ def test_table_is_the_sorted_scalar_route(case):
 
 
 class TestUncertifiedLevels:
-    """A level whose two closed forms disagree, or that is not finite, raises RangeError."""
+    """A level that is not finite, as epsilon or as an energy, raises RangeError."""
 
     @pytest.mark.parametrize("w1, w2, where", [
-        (1e8, 3.0, "(0, 0)"),  # the product form cancels terms of size w^2/4
-        (1e300, 1e300, "(0, 0)"),  # w^2 overflows: NaN
+        (1e300, 1e300, "(0, 0)"),  # the level overflows
     ])
     def test_general(self, w1, w2, where):
         p = OscillatorParams.from_couplings(3, w1, w2)
@@ -253,9 +300,13 @@ class TestUncertifiedLevels:
         with pytest.raises(RangeError):
             energy_equal_omegas(OscillatorParams.from_couplings(3, 1e300, 1e300),
                                 QuantumNumbers(0, 0))
+        # the single-trap form forms no w^2, so w1 = 1e300 is a finite level
+        p = OscillatorParams.from_couplings(3, 1e300, 0.0)
+        qn = QuantumNumbers(0, 0)
+        assert rel(energy_omega2_zero(p, qn), energy(p, qn)) <= 1e-15
         with pytest.raises(RangeError):
-            energy_omega2_zero(OscillatorParams.from_couplings(3, 1e300, 0.0),
-                               QuantumNumbers(0, 0))
+            energy_omega2_zero(OscillatorParams.from_couplings(3, 1e308, 0.0),
+                               QuantumNumbers(2, 0))
 
     def test_size_cap(self):
         n_max = MAX_LEVELS // 2 - 1

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
+from oracle_forms import jacobi_log_norm_sq
 from sphere_osc.eigenfunctions import MAX_MU, eval_F_grid, eval_f_euclidean, project_to_plane_jacobi
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, mu, reduce_L
-from sphere_osc.special import JacobiParams, jacobi_eval, jacobi_log_norm_sq, log_gamma
+from sphere_osc.special import JacobiParams, jacobi_eval, log_gamma
 from sphere_osc.spectrum import energy, energy_euclidean, epsilon, spectrum_table
 from sphere_osc.verify import (
     MAX_FD_LEVELS,
@@ -207,6 +208,16 @@ class TestOdeResidual:
         p = OscillatorParams(N=2)
         with pytest.raises(DomainError):
             ode_residual(p, QuantumNumbers(0, 0), theta_grid=[0.0, 1.0])
+
+    def test_grid_near_the_pole(self):
+        # 1/sin^2 and the envelope's log-derivative overflowed here: NaN with a warning
+        p = OscillatorParams.from_couplings(3, 5.0, 2.0)
+        with pytest.raises(RangeError):
+            ode_residual(p, QuantumNumbers(2, 1), [1e-300])
+        # the measured worst state of the envelope at the bound, and the pi side
+        assert ode_residual(OscillatorParams.from_couplings(3, 999.0, 999.0),
+                            QuantumNumbers(30, 0), [1e-120]) <= 1e-8
+        assert ode_residual(p, QuantumNumbers(2, 1), [1e-120, math.pi - 4.4e-16]) <= 1e-8
 
 
 def fd_eigenvectors(params, L, k_levels, grid_points):
