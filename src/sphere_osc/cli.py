@@ -12,9 +12,11 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import spectrum as spectrum_mod
 from . import verify as verify_mod
-from .eigenfunctions import checked_mu, conformal_factor, eval_F_grid, r_from_theta
+from .eigenfunctions import checked_mu, conformal_factor, eval_F, r_from_theta
 from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
@@ -145,19 +147,13 @@ def _cmd_wavefunction(args) -> int:
     qn = QuantumNumbers(args.ntheta, args.l)
     config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
               "grid": args.grid, "projected": bool(args.projected), "format": args.format}
-    thetas = [(j + 1) * math.pi / (args.grid + 1) for j in range(args.grid)]
-    values = eval_F_grid(params, qn, thetas)
+    thetas = np.arange(1, args.grid + 1) * math.pi / (args.grid + 1)
+    columns, header = [thetas, eval_F(params, qn, thetas)], ["theta", "F"]
     if args.projected:
-        # same theta nodes mapped through the stereographic projection, one
-        # point at a time: numpy's tan and power differ from math's in the last bit
-        rows = []
-        for th, f_val in zip(thetas, values):
-            r = r_from_theta(params.R, th)
-            rows.append((r, conformal_factor(params, r) * float(f_val)))
-        header = ["r", "f"]
-    else:
-        rows = [(th, float(v)) for th, v in zip(thetas, values)]
-        header = ["theta", "F"]
+        r = r_from_theta(params.R, thetas)
+        columns, header = [r, conformal_factor(params, r) * columns[1]], ["r", "f"]
+    rows = list(zip(*(col.tolist() for col in columns)))
+    del columns, thetas  # at the grid cap the arrays would add to the peak memory of _emit
     _emit(config, header, rows, args.out, args.format)
     return EXIT_OK
 

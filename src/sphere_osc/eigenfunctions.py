@@ -74,38 +74,44 @@ def _endpoint_value(exponent: float, log_rest: float, sign: float) -> float:
     return math.copysign(math.inf, sign)
 
 
-def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
-    """Normalized quasi-radial eigenfunction, half-angle power form.
+def _points(name: str, x, lo: float, hi: float) -> np.ndarray:
+    """`x` checked to lie in [lo, hi], as a float array of at least one dimension.
+
+    So a scalar runs the same numpy loops, and rounds the same way, as an array point.
+    """
+    return np.atleast_1d(np.asarray(check_range(name, x, lo, hi), dtype=float))
+
+
+def _like(values: np.ndarray, x):
+    """`values` as a Python float where the argument `x` is a scalar, else as is."""
+    return float(values[0]) if np.ndim(x) == 0 else values
+
+
+def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta):
+    """Normalized quasi-radial eigenfunction, half-angle power form, at a scalar or array theta.
 
     At the poles the value follows the endpoint exponents: zero for a
     positive exponent, the finite limit for a vanishing one, and a signed
     infinity indicator (never an exception) for a negative one.
     """
-    check_range("theta", theta, 0.0, math.pi)
+    th = _points("theta", theta, 0.0, math.pi)
     log_norm, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
     n = qn.n_theta
-    if theta == 0.0:
-        log_p1 = special.jacobi_log_endpoint(n, JacobiParams(mu2, mu1))
-        return _endpoint_value(e0, log_norm + log_p1, 1.0)
-    if theta == math.pi:
-        log_pm1 = special.jacobi_log_endpoint(n, JacobiParams(mu1, mu2))
-        return _endpoint_value(e1, log_norm + log_pm1, (-1.0) ** n)
-    poly = special.jacobi_eval(n, JacobiParams(mu2, mu1), math.cos(theta))
-    envelope = log_norm + e0 * math.log(math.sin(0.5 * theta)) + e1 * math.log(math.cos(0.5 * theta))
-    return math.exp(envelope) * poly
+    log_p1 = special.jacobi_log_endpoint(n, JacobiParams(mu2, mu1))
+    log_pm1 = special.jacobi_log_endpoint(n, JacobiParams(mu1, mu2))
+    north = 0.5 * th == 0.0  # sin(theta/2) = 0: the pole, and the least subnormal theta
+    values = np.where(north, _endpoint_value(e0, log_norm + log_p1, 1.0),
+                      _endpoint_value(e1, log_norm + log_pm1, (-1.0) ** n))
+    interior = ~north & (th < math.pi)
+    log_abs, sign = log_abs_F_grid(params, qn, th[interior])
+    values[interior] = sign * np.exp(log_abs)
+    return _like(values, theta)
 
 
 def _envelope_terms(prefactor, th: np.ndarray):
     """The sin(theta/2) and cos(theta/2) power terms of log|F|; they do not depend on n_theta."""
     _, e0, e1, _, _ = prefactor
     return e0 * np.log(np.sin(0.5 * th)), e1 * np.log(np.cos(0.5 * th))
-
-
-def _log_abs_F(log_norm: float, envelope_terms, poly: np.ndarray):
-    sin_term, cos_term = envelope_terms
-    with np.errstate(divide="ignore"):
-        log_abs = log_norm + sin_term + cos_term + np.log(np.abs(poly))
-    return log_abs, np.sign(poly)
 
 
 def log_abs_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas):
@@ -128,18 +134,14 @@ def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas, n_min: 
     th = check_range("thetas", np.asarray(thetas, dtype=float), 0.0, math.pi, closed=False)
     prefactor = _log_prefactor_halfangle(params, QuantumNumbers(0, L))
     _, _, _, mu1, mu2 = prefactor
-    terms = _envelope_terms(prefactor, th)
+    sin_term, cos_term = _envelope_terms(prefactor, th)
     polys = special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), np.cos(th))
     for n, poly in enumerate(polys):
         if n >= n_min:
             log_norm = _log_prefactor_halfangle(params, QuantumNumbers(n, L))[0]
-            yield _log_abs_F(log_norm, terms, poly)
-
-
-def eval_F_grid(params: OscillatorParams, qn: QuantumNumbers, thetas) -> np.ndarray:
-    """Vectorized eval_F over an array of interior angles."""
-    log_abs, sign = log_abs_F_grid(params, qn, thetas)
-    return sign * np.exp(log_abs)
+            with np.errstate(divide="ignore"):
+                log_abs = log_norm + sin_term + cos_term + np.log(np.abs(poly))
+            yield log_abs, np.sign(poly)
 
 
 def eval_F_form_a(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
@@ -209,29 +211,27 @@ def reflection_check(params: OscillatorParams, qn: QuantumNumbers, theta: float)
     return eval_F(params, qn, theta), eval_F(mirror, qn, math.pi - theta)
 
 
-def r_from_theta(R: float, theta: float) -> float:
-    """Stereographic image r = 2 R tan(theta/2); the south pole maps to infinity."""
+def r_from_theta(R: float, theta):
+    """Stereographic image r = 2 R tan(theta/2), scalar or array; the south pole maps to infinity."""
     check_real("R", R, 0.0, strict=True)
-    check_range("theta", theta, 0.0, math.pi)
-    if theta == math.pi:
-        return math.inf
-    return 2.0 * R * math.tan(0.5 * theta)
+    th = _points("theta", theta, 0.0, math.pi)
+    return _like(np.where(th == math.pi, math.inf, 2.0 * R * np.tan(0.5 * th)), theta)
 
 
-def theta_from_r(R: float, r: float) -> float:
-    """Inverse stereographic map theta = 2 arctan(r / 2R)."""
+def theta_from_r(R: float, r):
+    """Inverse stereographic map theta = 2 arctan(r / 2R) of a scalar or array r in [0, inf]."""
     check_real("R", R, 0.0, strict=True)
-    check_range("r", r, 0.0, math.inf)
-    return 2.0 * math.atan2(r, 2.0 * R)
+    return _like(2.0 * np.arctan2(_points("r", r, 0.0, math.inf), 2.0 * R), r)
 
 
-def conformal_factor(params: OscillatorParams, r: float) -> float:
-    """(1 + (r/2R)^2)^-(N/2 - 1): the factor that carries F(theta(r)) onto the tangent plane."""
-    return (1.0 + (r / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0))
+def conformal_factor(params: OscillatorParams, r):
+    """(1 + (r/2R)^2)^-(N/2 - 1) at a scalar or array r: it carries F(theta(r)) onto the tangent plane."""
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    return _like((1.0 + (rs / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0)), r)
 
 
-def project_to_plane(params: OscillatorParams, qn: QuantumNumbers, r: float) -> float:
-    """Radial function on the tangent plane, via composition with the projection."""
+def project_to_plane(params: OscillatorParams, qn: QuantumNumbers, r):
+    """Radial function on the tangent plane, scalar or array, via composition with the projection."""
     theta = theta_from_r(params.R, r)
     return conformal_factor(params, r) * eval_F(params, qn, theta)
 
@@ -256,10 +256,10 @@ def project_to_plane_jacobi(params: OscillatorParams, qn: QuantumNumbers, r: flo
     return math.exp(envelope) * poly
 
 
-def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r: float) -> float:
-    """Normalized flat-space radial function of the centrifugally perturbed trap."""
+def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
+    """Normalized flat-space radial function of the centrifugally perturbed trap, scalar or array."""
     n_r = check_int("n_r", n_r, 0)
-    check_real("r", r, 0.0)
+    rs = _points("r", r, 0.0, np.finfo(float).max)  # finite
     if eparams.omega <= 0.0:
         raise DomainError("bound flat-space states require omega > 0")
     lam = model.big_lambda(eparams, L)
@@ -267,9 +267,10 @@ def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r: float) -> fl
     lg = special.log_gamma
     log_norm = 0.5 * (_LOG2 + lg(n_r + 1.0) - lg(n_r + lam + 1.5)) + 0.25 * eparams.N * math.log(scale)
     e = 0.5 * lam - 0.25 * eparams.N + 0.75
-    x = scale * r * r
-    if x == 0.0:
-        poly0 = special.laguerre_eval(n_r, lam + 0.5, 0.0)
-        return _endpoint_value(e, log_norm + math.log(poly0), 1.0)
-    poly = special.laguerre_eval(n_r, lam + 0.5, x)
-    return math.exp(log_norm + e * math.log(x) - 0.5 * x) * poly
+    x = scale * rs * rs
+    log_poly0 = lg(n_r + lam + 1.5) - lg(n_r + 1.0) - lg(lam + 1.5)  # L_n^(lam+1/2)(0), as log
+    values = np.full_like(x, _endpoint_value(e, log_norm + log_poly0, 1.0))
+    pos = x > 0.0
+    x = x[pos]
+    values[pos] = np.exp(log_norm + e * np.log(x) - 0.5 * x) * special.laguerre_eval(n_r, lam + 0.5, x)
+    return _like(values, r)

@@ -9,6 +9,7 @@ the physics of one formula stay next to that formula.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral
 
 import numpy as np
@@ -26,11 +27,14 @@ def check_int(name: str, v, lo: int | None = None, hi: int | None = None) -> int
     """Return `v` as a Python int, or raise DomainError unless it is an integer in [lo, hi].
 
     Python and numpy integers are accepted alike; bool is not an integer here.
+    One no double can hold raises RangeError: every formula takes it to a float.
     """
     if type(v) is not int:
         if isinstance(v, bool) or not isinstance(v, Integral):
             raise DomainError(f"{name} must be an integer, got {v!r}")
         v = int(v)
+    if not -sys.float_info.max <= v <= sys.float_info.max:
+        raise RangeError(f"{name} has {v.bit_length()} bits, more than a double can hold")
     if (lo is not None and v < lo) or (hi is not None and v > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise DomainError(f"{name} must be an integer {bounds}, got {v!r}")

@@ -322,7 +322,7 @@ def node_count(params: OscillatorParams, qn: QuantumNumbers,
                grid_points: int = NODE_GRID_POINTS) -> int:
     """Sign changes of the eigenfunction on the open interval (0, pi)."""
     grid = _node_grid(check_int("grid_points", grid_points, 2))
-    return _sign_changes(eigenfunctions.eval_F_grid(params, qn, grid))
+    return _sign_changes(eigenfunctions.eval_F(params, qn, grid))
 
 
 def loglog_slope(xs, ys) -> float:
@@ -338,7 +338,8 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
     For each R the sphere trap is pinned to w2 = chi (omega2 proportional to
     1/R^2), and the table records |E(R) - E_flat| together with the worst
     pointwise gap between the projected and the flat radial functions on
-    r in (0, 4 sqrt(hbar / m omega)].
+    num_r equispaced points of r in (0, 4 sqrt(hbar / m omega)].  The flat
+    function is evaluated once over all points, the projected one once per R.
     """
     if eparams.omega <= 0.0:
         raise DomainError("the limit scan requires omega > 0")
@@ -349,13 +350,12 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
     e_flat = spectrum.energy_euclidean(eparams, qn.n_theta, qn.L)
     r_max = 4.0 * math.sqrt(eparams.hbar / (eparams.m * eparams.omega))
     rs = np.linspace(0.0, r_max, num_r + 1)[1:]
-    f_flat = np.array([eigenfunctions.eval_f_euclidean(eparams, qn.n_theta, qn.L, r) for r in rs])
+    f_flat = eigenfunctions.eval_f_euclidean(eparams, qn.n_theta, qn.L, rs)
     table = []
     for radius in radii:
         p = model.finite_radius_params(eparams, radius)
         e_err = abs(spectrum.energy(p, qn) - e_flat)
-        f_sph = np.array([eigenfunctions.project_to_plane(p, qn, r) for r in rs])
-        w_err = float(np.max(np.abs(f_sph - f_flat)))
+        w_err = float(np.max(np.abs(eigenfunctions.project_to_plane(p, qn, rs) - f_flat)))
         table.append((radius, e_err, w_err))
     return table
 

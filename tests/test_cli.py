@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracle_forms import mp_epsilon
+from sphere_osc import cli
 
 CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +57,12 @@ class TestSpectrumCommand:
          "d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504"),
         ("spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json",
          "7fd6a9ec76adfbb8750c283f598bd2d93fb31b9654ded0fbfd4054eabe171913"),
+        ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000",
+         "af2bc0b282b3bc406d0e95713fcbc1837e12650f08355995da3adaa876dd4676"),
+        ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000 --projected",
+         "4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73"),
+        ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12 --format json",
+         "62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1"),
     ])
     def test_stdout_sha256(self, args, digest):
         res = subprocess.run(CLI + args.split(), capture_output=True)
@@ -292,3 +299,13 @@ assert "scipy.linalg" in scipy_loaded()
 def test_scipy_loads_only_for_verify():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_console_script_entry(monkeypatch, capsys):
+    # [project.scripts] sphere-osc = "sphere_osc.cli:run" reads sys.argv and exits
+    monkeypatch.setattr(sys, "argv", ["sphere-osc", "spectrum", "--dim", "2", "--w1", "0",
+                                      "--w2", "0", "--nmax", "1", "--lmax", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "spectrum_dim2_free.csv").read_bytes()

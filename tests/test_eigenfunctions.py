@@ -8,7 +8,6 @@ from sphere_osc.eigenfunctions import (
     eval_F,
     eval_F_form_a,
     eval_F_gegenbauer,
-    eval_F_grid,
     eval_f_euclidean,
     log_abs_F_grid,
     log_abs_F_rows,
@@ -35,7 +34,7 @@ class TestHalfAngleForm:
     def test_free_ground_state_is_constant(self):
         p = OscillatorParams(N=2, R=1.3)
         qn = QuantumNumbers(0, 0)
-        vals = eval_F_grid(p, qn, np.linspace(0.2, math.pi - 0.2, 9))
+        vals = eval_F(p, qn, np.linspace(0.2, math.pi - 0.2, 9))
         want = 1.0 / math.sqrt(2.0) / 1.3
         assert np.max(np.abs(vals - want)) <= 1e-14
         assert rel(normalization_check(p, qn), 1.0) <= 1e-12
@@ -71,6 +70,8 @@ class TestHalfAngleForm:
         assert math.isfinite(v0) and v0 > 0.0
         # continuous approach to the endpoint value
         assert rel(eval_F(p, qn, 1e-6), v0) <= 1e-8
+        # half the least subnormal rounds to 0, so sin(theta/2) is 0 there as at the pole
+        assert eval_F(p, qn, 5e-324) == v0
 
     def test_envelope_rejected(self):
         p = OscillatorParams.from_couplings(2, 5000.0, 0.0)
@@ -136,7 +137,7 @@ class TestGegenbauerForm:
 
     def test_ground_state_no_nodes(self):
         p = OscillatorParams.from_couplings(3, 1.5, 1.5)
-        vals = eval_F_grid(p, QuantumNumbers(0, 1), np.linspace(0.1, math.pi - 0.1, 200))
+        vals = eval_F(p, QuantumNumbers(0, 1), np.linspace(0.1, math.pi - 0.1, 200))
         assert np.all(vals > 0.0)
 
 
@@ -211,7 +212,7 @@ class TestProjection:
         qn = QuantumNumbers(2, 1)
         thetas = np.linspace(1e-4, math.pi - 1e-4, 40001)
         rs = 2.0 * p.R * np.tan(0.5 * thetas)
-        f = np.array([project_to_plane(p, qn, float(r)) for r in rs])
+        f = project_to_plane(p, qn, rs)
         dr_dtheta = p.R / np.cos(0.5 * thetas) ** 2
         w = (4.0 * p.R**2 / (rs**2 + 4.0 * p.R**2)) ** 2
         integrand = rs ** (p.N - 1) * w * f * f * dr_dtheta
@@ -299,3 +300,28 @@ class TestEuclideanPointwiseLimit:
         assert all(b < a for a, b in zip(errs, errs[1:]))
         slope = np.polyfit(np.log(radii), np.log(errs), 1)[0]
         assert abs(slope + 2.0) <= 0.2, f"slope={slope}"
+
+
+W5_2 = OscillatorParams.from_couplings(3, 5.0, 2.0, R=1.3)
+FREE = OscillatorParams(N=2)  # F has finite nonzero limits at both poles
+FLAT = EuclideanParams(N=3, omega=1.0, chi=1.5)
+THETAS = np.array([0.0, 1e-3, 0.4, HALF_PI, 2.9, math.pi])
+RADII = np.array([0.0, 1e-3, 0.7, 2.6, 11.0])
+
+
+class TestArrayArguments:
+    """An array call, poles included, equals the scalar calls bit for bit."""
+
+    @pytest.mark.parametrize("fn, points", [
+        (lambda th: eval_F(W5_2, QuantumNumbers(3, 1), th), THETAS),
+        (lambda th: eval_F(FREE, QuantumNumbers(1, 0), th), THETAS),
+        (lambda th: r_from_theta(1.3, th), THETAS),
+        (lambda r: theta_from_r(1.3, r), np.append(RADII, math.inf)),
+        (lambda r: project_to_plane(W5_2, QuantumNumbers(3, 1), r), np.append(RADII, math.inf)),
+        (lambda r: eval_f_euclidean(FLAT, 2, 1, r), RADII),
+    ], ids=["eval_F", "eval_F-free", "r_from_theta", "theta_from_r", "project_to_plane",
+            "eval_f_euclidean"])
+    def test_array_equals_scalar_calls(self, fn, points):
+        scalars = [fn(float(x)) for x in points]
+        assert all(type(v) is float for v in scalars)
+        assert fn(points).tobytes() == np.array(scalars).tobytes()

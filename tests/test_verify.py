@@ -8,11 +8,26 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from oracle_forms import jacobi_log_norm_sq
-from sphere_osc.eigenfunctions import MAX_MU, eval_F_grid, eval_f_euclidean, project_to_plane_jacobi
+from sphere_osc.eigenfunctions import (
+    MAX_MU,
+    eval_F,
+    eval_f_euclidean,
+    project_to_plane,
+    project_to_plane_jacobi,
+    r_from_theta,
+    theta_from_r,
+)
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, mu, reduce_L
 from sphere_osc.special import JacobiParams, jacobi_eval, log_gamma
-from sphere_osc.spectrum import energy, energy_euclidean, epsilon, spectrum_table
+from sphere_osc.spectrum import (
+    energy,
+    energy_equal_omegas,
+    energy_euclidean,
+    energy_omega2_zero,
+    epsilon,
+    spectrum_table,
+)
 from sphere_osc.verify import (
     MAX_FD_LEVELS,
     MAX_GRID_POINTS,
@@ -159,7 +174,7 @@ def stencil_ode_residual(params, qn, theta_grid=None, energy=None):
     h = np.minimum(h, np.minimum(th, math.pi - th) / 4.0)
 
     points = np.concatenate([th, th + h, th - h, th + 0.5 * h, th - 0.5 * h])
-    f0, fp1, fm1, fph, fmh = eval_F_grid(params, qn, points).reshape(5, th.size)
+    f0, fp1, fm1, fph, fmh = eval_F(params, qn, points).reshape(5, th.size)
     d1 = (4.0 * (fph - fmh) / h - (fp1 - fm1) / (2.0 * h)) / 3.0
     d2 = (4.0 * (fph - 2.0 * f0 + fmh) / (0.5 * h) ** 2 - (fp1 - 2.0 * f0 + fm1) / h**2) / 3.0
 
@@ -286,7 +301,7 @@ class TestFdEigensolve:
         qn = QuantumNumbers(1, 0)
         vals, th, vecs = fd_eigenvectors(p, 0, 2, 4000)
         h = th[1] - th[0]
-        exact = eval_F_grid(p, qn, th)
+        exact = eval_F(p, qn, th)
         # compare on the interior half to dodge endpoint discretization
         sel = (th > 0.4) & (th < math.pi - 0.4)
         err = np.max(np.abs(vecs[1][sel] * math.sqrt(h) - exact[sel] * math.sqrt(h)))
@@ -401,6 +416,9 @@ class TestExtrapolatedOracle:
 W5_2 = OscillatorParams.from_couplings(3, 5.0, 2.0)
 W2000 = OscillatorParams.from_couplings(3, 2000.0, 2.0)  # mu_1 = 2000 > MAX_MU
 FLAT = EuclideanParams(N=3, omega=1.0, chi=1.5)
+W2_2 = OscillatorParams.from_couplings(3, 2.0, 2.0)
+W5_0 = OscillatorParams.from_couplings(3, 5.0, 0.0)
+HUGE = 10**400  # an integer no double can hold
 
 
 class TestInputValidation:
@@ -424,13 +442,38 @@ class TestInputValidation:
         (lambda: fd_eigensolve(W5_2, 0, MAX_FD_LEVELS + 1, 1000), DomainError),
         # the oracle's coarse grid, 999 // 2, is below the operator's floor
         (lambda: verification_report(W5_2, QuantumNumbers(0, 0), grid_points=999), DomainError),
+        (lambda: epsilon(W5_2, QuantumNumbers(HUGE, 0)), RangeError),
+        (lambda: epsilon(W5_2, QuantumNumbers(0, HUGE)), RangeError),
+        (lambda: energy(W5_2, QuantumNumbers(HUGE, 0)), RangeError),
+        (lambda: energy(W5_2, QuantumNumbers(0, HUGE)), RangeError),
+        (lambda: energy_equal_omegas(W2_2, QuantumNumbers(HUGE, 0)), RangeError),
+        (lambda: energy_equal_omegas(W2_2, QuantumNumbers(0, HUGE)), RangeError),
+        (lambda: energy_omega2_zero(W5_0, QuantumNumbers(HUGE, 0)), RangeError),
+        (lambda: energy_omega2_zero(W5_0, QuantumNumbers(0, HUGE)), RangeError),
+        (lambda: eval_F(W5_2, QuantumNumbers(HUGE, 0), 1.0), RangeError),
+        (lambda: eval_F(W5_2, QuantumNumbers(0, HUGE), 1.0), RangeError),
+        (lambda: energy_euclidean(FLAT, HUGE, 0), RangeError),
+        (lambda: eval_f_euclidean(FLAT, HUGE, 0, 1.0), RangeError),
+        (lambda: eval_F(W5_2, QuantumNumbers(1, 1), np.array([0.5, -0.1, 1.0])), DomainError),
+        (lambda: eval_f_euclidean(FLAT, 0, 1, np.array([0.0, 1.0, math.inf])), DomainError),
+        (lambda: eval_F(W5_2, QuantumNumbers(1, 1), np.array([0.5, math.nan])), DomainError),
+        (lambda: project_to_plane(W5_2, QuantumNumbers(1, 1), np.array([1.0, math.nan])), DomainError),
+        (lambda: eval_f_euclidean(FLAT, 0, 1, np.array([1.0, math.nan])), DomainError),
+        (lambda: r_from_theta(1.0, np.array([0.5, math.nan])), DomainError),
+        (lambda: theta_from_r(1.0, np.array([1.0, math.nan])), DomainError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k", "node_count-negative-grid",
             "node_count-empty-grid", "ode_residual-nan-grid", "normalization_check-w2000",
             "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf",
             "project_to_plane_jacobi-r-inf", "gauss_jacobi_rule-nodes-cap",
             "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap",
-            "verification_report-coarse-grid"])
+            "verification_report-coarse-grid", "epsilon-huge-n", "epsilon-huge-L",
+            "energy-huge-n", "energy-huge-L", "energy_equal_omegas-huge-n",
+            "energy_equal_omegas-huge-L", "energy_omega2_zero-huge-n", "energy_omega2_zero-huge-L",
+            "eval_F-huge-n", "eval_F-huge-L", "energy_euclidean-huge-n_r",
+            "eval_f_euclidean-huge-n_r", "eval_F-array-negative-theta",
+            "eval_f_euclidean-array-r-inf", "eval_F-array-nan", "project_to_plane-array-nan",
+            "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
