@@ -227,7 +227,9 @@ def theta_from_r(R: float, r):
 def conformal_factor(params: OscillatorParams, r):
     """(1 + (r/2R)^2)^-(N/2 - 1) at a scalar or array r: it carries F(theta(r)) onto the tangent plane."""
     rs = np.atleast_1d(np.asarray(r, dtype=float))
-    return _like((1.0 + (rs / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0)), r)
+    # (r/2R)^2 overflows to inf above ~1e154 R, where inf^-(N/2 - 1) is the right limit
+    with np.errstate(over="ignore"):
+        return _like((1.0 + (rs / (2.0 * params.R)) ** 2) ** (-(0.5 * params.N - 1.0)), r)
 
 
 def project_to_plane(params: OscillatorParams, qn: QuantumNumbers, r):

@@ -27,8 +27,9 @@ ORACLE_TOL = 1.0e-6
 
 _LOG2 = math.log(2.0)
 
-# Size limits.  Golub-Welsch forms an n x n eigenvector matrix, the FD grid
-# is one tridiagonal matrix, and fd_eigensolve bisects for the lowest levels.
+# Size limits.  gauss_jacobi_rule needs O(n) memory but O(n^2) time for its
+# weights, the FD grid is one tridiagonal matrix, and fd_eigensolve bisects
+# for the lowest levels.
 MAX_QUAD_NODES = 2000
 MAX_FD_LEVELS = 20
 # FD grid sizes.  Above MAX_GRID_POINTS the bisection's rounding, which grows
@@ -103,8 +104,15 @@ class VerificationReport:
 def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     """n-point Gauss-Jacobi rule, exact through polynomial degree 2n - 1.
 
-    Golub-Welsch construction: nodes and weights come from the symmetric
-    tridiagonal eigenproblem of the monic three-term recurrence.
+    Golub-Welsch construction: the nodes are the eigenvalues of the symmetric
+    tridiagonal matrix of the orthonormal three-term recurrence.  The weights
+    come from its Christoffel function, w_i = mu0 / sum_j p_j(x_i)^2 with p_j
+    the matrix's own recurrence (p_0 = 1), not from eigenvectors: the tiny
+    weights of the eigenvector route carry relative errors up to 6e-3 at
+    alpha ~ 1000, the Christoffel ones 3e-12 against mpmath.  For
+    0 <= alpha, beta <= MAX_MU, sum(w) is within 3e-12 of the weight's mass
+    at 20 nodes and at MAX_QUAD_NODES; an exponent near -1 costs more there
+    (2e-8 with beta = -0.999 at MAX_QUAD_NODES).
     """
     n = check_int("rule size", n, 1, MAX_QUAD_NODES)
     JacobiParams(alpha, beta)  # alpha, beta finite and > -1
@@ -131,8 +139,20 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         4.0 * k * (k + alpha) * (k + beta) * (k + apb)
         / ((2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) * (2.0 * k + apb - 1.0))
     )
-    nodes, vecs = eigh_tridiagonal(diag, np.sqrt(bsq))
-    weights = mu0 * vecs[0, :] ** 2
+    off = np.sqrt(bsq)
+    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    # b_(j+1) p_(j+1) = (x - a_j) p_j - b_j p_(j-1); after each step the sum and
+    # the two live terms are scaled by exact powers of two, so nothing overflows
+    p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
+    shift, b_prev = np.zeros(n, dtype=int), 0.0
+    for a_j, b_j in zip(diag, off):
+        p_prev, p = p, ((nodes - a_j) * p - b_prev * p_prev) / b_j
+        b_prev = b_j
+        total += p * p
+        half = np.frexp(total)[1] // 2
+        p_prev, p, total = np.ldexp(p_prev, -half), np.ldexp(p, -half), np.ldexp(total, -2 * half)
+        shift += 2 * half
+    weights = np.ldexp(mu0 / total, -shift)
     return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha, beta=beta)
 
 
@@ -148,14 +168,15 @@ def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float
     )
 
 
-def _matched_rule(params: OscillatorParams, L: int, num_nodes: int):
-    """Gauss-Jacobi rule matched to the weight exponents of level L.
+def _matched_rule(params: OscillatorParams, L: int, n_max: int):
+    """Gauss-Jacobi rule matched to the weight exponents of level L, sized for n_theta <= n_max.
 
-    Returns the rule (alpha = mu_L2, beta = mu_L1), its nodes as angles
-    theta = arccos(x), and the log measure factor at the nodes.
+    Under the weight the norms and overlaps are polynomials of degree <= 2 n_max,
+    which n_max + 1 nodes integrate exactly.  Returns the rule, its nodes as
+    angles theta = arccos(x), and the log measure factor at the nodes.
     """
     mu1, mu2 = eigenfunctions.checked_mu(params, L)
-    rule = gauss_jacobi_rule(num_nodes, mu2, mu1)
+    rule = gauss_jacobi_rule(n_max + 1, mu2, mu1)
     return rule, np.arccos(rule.nodes), _measure_log(params, rule.nodes, mu1, mu2)
 
 
@@ -165,21 +186,21 @@ def _norm_integral(rule: QuadratureRule, log_abs: np.ndarray, sign: np.ndarray,
     return float(rule.weights @ g)
 
 
-def normalization_check(params: OscillatorParams, qn: QuantumNumbers, num_nodes: int = 200) -> float:
+def normalization_check(params: OscillatorParams, qn: QuantumNumbers) -> float:
     """Quadrature value of R^N * integral sin^(N-1)(theta) F^2 dtheta (target: 1).
 
-    Change of variable x = cos(theta) with the Gauss-Jacobi rule matched to
-    the state's weight exponents (alpha = mu_L2, beta = mu_L1).
+    Change of variable x = cos(theta) with the n_theta + 1 node Gauss-Jacobi
+    rule matched to the state's weight exponents (alpha = mu_L2, beta = mu_L1).
     """
-    rule, theta, measure_log = _matched_rule(params, qn.L, num_nodes)
+    rule, theta, measure_log = _matched_rule(params, qn.L, qn.n_theta)
     log_abs, sign = eigenfunctions.log_abs_F_grid(params, qn, theta)
     return _norm_integral(rule, log_abs, sign, measure_log)
 
 
-def overlap_matrix(params: OscillatorParams, L: int, n_max: int, num_nodes: int = 200) -> np.ndarray:
-    """Pairwise overlaps of the states n_theta = 0..n_max at fixed L (target: identity)."""
+def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
+    """Overlaps of the states n_theta = 0..n_max at fixed L (target: identity), n_max + 1 nodes."""
     n_max = check_int("n_max", n_max, 0)
-    rule, theta, measure_log = _matched_rule(params, L, num_nodes)
+    rule, theta, measure_log = _matched_rule(params, L, n_max)
     a = np.array([sign * np.exp(log_abs + 0.5 * measure_log)
                   for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)])
     return a @ (rule.weights[:, None] * a.T)
@@ -361,12 +382,13 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
 
 
 def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
-                  quad_nodes: int, energy_factor: float) -> list[VerificationReport]:
+                  energy_factor: float) -> list[VerificationReport]:
     """Run every oracle against the states n_theta in n_values at one L.
 
-    The FD oracle, the matched quadrature rule and the Jacobi sweeps on the
-    quadrature, node-count and residual grids depend on L only, so each is
-    built once and shared by all n_theta; nothing is evaluated per state.
+    The FD oracle, the matched quadrature rule (exact with max(n_values) + 1
+    nodes) and the Jacobi sweeps on the quadrature, node-count and residual
+    grids are built once per block and shared by all n_theta; nothing is
+    evaluated per state.
     The FD oracle is one Richardson step over the grids grid_points and
     grid_points // 2, which cancels the O(h^2) error of the single-grid
     eigenvalues.
@@ -374,7 +396,7 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
     # the mu envelope (in the matched rule) and finite levels are checked before the FD solve
-    rule, theta, measure_log = _matched_rule(params, L, quad_nodes)
+    rule, theta, measure_log = _matched_rule(params, L, n_max)
     eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
                       * energy_factor) for n in n_values]
     fine, coarse = grid_points, grid_points // 2
@@ -397,13 +419,12 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
 
 
 def verification_report(params: OscillatorParams, qn: QuantumNumbers,
-                        grid_points: int = 2000, quad_nodes: int = 200,
-                        energy_factor: float = 1.0) -> VerificationReport:
+                        grid_points: int = 2000, energy_factor: float = 1.0) -> VerificationReport:
     """Run every oracle against one state and collect the outcome.
 
-    `grid_points` is the finer of the two FD oracle grids (see _verify_block).
+    `grid_points` is the finer of the two FD oracle grids (see _verify_block);
+    the norm integral uses the exact n_theta + 1 node matched rule.
     `energy_factor` multiplies the closed-form level before the residual and
     oracle comparisons (the perturbation detector hook).
     """
-    return _verify_block(params, qn.L, [qn.n_theta], grid_points, quad_nodes,
-                         energy_factor)[0]
+    return _verify_block(params, qn.L, [qn.n_theta], grid_points, energy_factor)[0]

@@ -88,3 +88,23 @@ def jacobi_log_norm_sq(n: int, params: JacobiParams) -> float:
         - math.log(2.0 * n + a + b + 1.0)
         - log_gamma(n + a + b + 1.0)
     )
+
+
+def mp_eval_F(N: int, n: int, L: int, w1: float, w2: float, theta: float) -> float:
+    """Normalized eigenfunction C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) at R = 1, in mpmath.
+
+    s, c = sin, cos(theta/2).  C comes from the Jacobi norm, not from the
+    package's constant: the measure sin^(N-1)(theta) dtheta turns F^2 into
+    C^2 2^-(e0+e1) (1-x)^mu2 (1+x)^mu1 P_n^2 dx.
+    """
+    with mpmath.workdps(50):
+        h = mpmath.mpf(half_index(N, L))
+        mu1, mu2 = (mpmath.sqrt(h * h + mpmath.mpf(w) ** 2) for w in (w1, w2))
+        e0, e1 = mu2 - mpmath.mpf(N) / 2 + 1, mu1 - mpmath.mpf(N) / 2 + 1
+        lg = mpmath.loggamma
+        log_norm_sq = ((mu1 + mu2 + 1) * mpmath.ln(2) + lg(n + mu2 + 1) + lg(n + mu1 + 1)
+                       - lg(n + 1) - mpmath.ln(2 * n + mu1 + mu2 + 1) - lg(n + mu1 + mu2 + 1))
+        c = mpmath.exp(((e0 + e1) * mpmath.ln(2) - log_norm_sq) / 2)
+        t = mpmath.mpf(theta)
+        return float(c * mpmath.sin(t / 2) ** e0 * mpmath.cos(t / 2) ** e1
+                     * mpmath.jacobi(n, mu2, mu1, mpmath.cos(t)))

@@ -61,7 +61,6 @@ GRID_LS = (0, 1, 2)
 GRID_WS = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (5.0, 2.0))
 N_THETA_MAX = 4
 FD_POINTS = 8000
-QUAD_NODES = 200
 
 CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,7 +98,7 @@ def state_checks(combos):
             eps = epsilon(params, qn)
             entry = {
                 "eps": eps,
-                "norm_err": abs(normalization_check(params, qn, QUAD_NODES) - 1.0),
+                "norm_err": abs(normalization_check(params, qn) - 1.0),
                 "resid": ode_residual(params, qn),
                 "nodes": node_count(params, qn),
             }
@@ -153,7 +152,7 @@ def test_criterion_3_normalization_and_orthogonality(combos, state_checks):
     worst_overlap = 0.0
     eye = np.eye(N_THETA_MAX + 1)
     for params, ang in combos:
-        m = overlap_matrix(params, ang, N_THETA_MAX, QUAD_NODES)
+        m = overlap_matrix(params, ang, N_THETA_MAX)
         worst_overlap = max(worst_overlap, float(np.max(np.abs(m - eye))))
     ok = worst_norm <= 1e-10 and worst_overlap <= 1e-10
     _verdict(3, "unit norms and orthogonal states under matched quadrature",

@@ -250,7 +250,6 @@ class TestExitCodes:
         "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",
         "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 10000000000000000000000",
-        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --quad-nodes 2001",
         # the oracle's coarse grid, --grid-points // 2, must keep the 500-point floor
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 999",
         # MAX_GRID_POINTS + 1: past the cap bisection rounding spoils the extrapolation

@@ -30,7 +30,7 @@ _FLAGS = {
                                        "--projected": None}),
     "verify": ({"--dim": _DIM, "--levels": _SMALL, "--lmax": _SMALL},
                {**_SPHERE, "--grid-points": st.sampled_from(["999", "1000"]),
-                "--quad-nodes": st.sampled_from(["0", "1", "20"]), "--perturb-energy": _REALS}),
+                "--perturb-energy": _REALS}),
     "euclid-limit": ({"--dim": _DIM, "--chi": _REALS, "--radii": _RADII},
                      {"--omega": _REALS, "--mass": _REALS, "--hbar": _REALS, "--natural": None,
                       "--nr": _SMALL, "--l": _SMALL, "--format": st.sampled_from(["csv", "json"])}),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
+from oracle_forms import mp_eval_F
 from sphere_osc.eigenfunctions import (
     eval_F,
     eval_F_form_a,
@@ -103,6 +106,23 @@ class TestHalfAngleForm:
         p = OscillatorParams.from_couplings(3, 2.0, 1.0)
         for n in range(6):
             assert node_count(p, QuantumNumbers(n, 1)) == n
+
+
+_COUPLING = st.one_of(st.just(0.0), st.floats(-3.0, math.log10(999.0)).map(lambda e: 10.0**e))
+_PEAK_GRID = np.linspace(0.0, math.pi, 2003)[1:-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=st.integers(2, 12), L=st.integers(0, 6), n=st.integers(0, 19),
+       w1=_COUPLING, w2=_COUPLING, theta=st.floats(0.01, math.pi - 0.01))
+def test_eval_F_against_mpmath(N, L, n, w1, w2, theta):
+    """eval_F over the accepted envelope, relative to the state's max|F|."""
+    p = OscillatorParams.from_couplings(N, w1, w2)
+    qn = QuantumNumbers(n, L)
+    # the grid only locates the peak; its height comes from mpmath
+    peak = float(_PEAK_GRID[np.argmax(np.abs(eval_F(p, qn, _PEAK_GRID)))])
+    scale = abs(mp_eval_F(N, n, L, p.w1, p.w2, peak))
+    assert abs(eval_F(p, qn, theta) - mp_eval_F(N, n, L, p.w1, p.w2, theta)) <= 1e-12 * scale
 
 
 class TestGegenbauerForm:
@@ -218,6 +238,11 @@ class TestProjection:
         integrand = rs ** (p.N - 1) * w * f * f * dr_dtheta
         val = float(np.trapezoid(integrand, thetas))
         assert abs(val - 1.0) <= 1e-5
+
+    def test_far_radius_is_the_zero_limit(self):
+        # (r/2R)^2 overflows to inf above about 1e154 R: the limit 0, with no warning
+        p = OscillatorParams.from_couplings(3, 5.0, 2.0)
+        assert project_to_plane(p, QuantumNumbers(1, 1), 1e200) == 0.0
 
 
 class TestEuclideanRadial:

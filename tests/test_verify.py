@@ -99,6 +99,21 @@ class TestGaussJacobiRule:
         assert np.max(np.abs(rule.nodes - nodes)) <= 1e-12
         assert np.max(np.abs(rule.weights - weights)) <= 1e-12
 
+    @pytest.mark.parametrize("n, a, b", [(20, 998.0, 0.5), (20, 999.0, 999.0)])
+    def test_weights_against_mpmath(self, n, a, b):
+        # classical weights at mpmath-polished roots; eigenvector weights missed
+        # the tiny ones at (998, 0.5) by up to 6e-3
+        import mpmath as mp
+        rule = gauss_jacobi_rule(n, a, b)
+        with mp.workdps(50):
+            scale = (mp.mpf(2) ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+                     / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+            for x, w in zip(rule.nodes, rule.weights):
+                root = mp.findroot(lambda t: mp.jacobi(n, a, b, t), mp.mpf(x))
+                dp = (n + a + b + 1) / 2 * mp.jacobi(n - 1, a + 1, b + 1, root)
+                want = scale / ((1 - root**2) * dp**2)
+                assert abs(w - want) <= 1e-11 * want, f"x={x}"
+
     def test_norm_reproduction(self):
         p = JacobiParams(2.5, 0.8)
         rule = gauss_jacobi_rule(16, p.alpha, p.beta)
@@ -126,6 +141,24 @@ class TestNormalization:
                 got = normalization_check(p, QuantumNumbers(n, L))
                 assert abs(got - 1.0) <= 1e-10, f"N={N} w=({w1},{w2}) state=({n},{L})"
 
+    def test_rule_sized_from_the_states(self, monkeypatch):
+        # n_max + 1 nodes integrate every P_i P_j, i, j <= n_max, exactly
+        import sphere_osc.verify as vf
+        sizes = []
+        original = vf.gauss_jacobi_rule
+
+        def recording(n, alpha, beta):
+            sizes.append(n)
+            return original(n, alpha, beta)
+
+        monkeypatch.setattr(vf, "gauss_jacobi_rule", recording)
+        p = OscillatorParams.from_couplings(3, 5.0, 2.0)
+        normalization_check(p, QuantumNumbers(3, 1))
+        overlap_matrix(p, 1, 6)
+        verification_report(p, QuantumNumbers(2, 0))
+        _verify_block(p, 0, [0, 4, 7], 1000, 1.0)
+        assert sizes == [4, 7, 3, 8]
+
     def test_quadratic_in_the_input(self, monkeypatch):
         # doubling the integrand's amplitude must quadruple the functional
         import sphere_osc.eigenfunctions as ef
@@ -147,6 +180,17 @@ class TestOverlap:
         p = OscillatorParams.from_couplings(3, 2.0, 1.0)
         m = overlap_matrix(p, 1, 4)
         assert np.max(np.abs(m - np.eye(5))) <= 1e-10
+
+    def test_identity_over_the_envelope(self):
+        # with 200 nodes, tiny weights off by up to 6e-3 met huge P^2 and
+        # 75 of these 135 blocks missed, by up to 9e24
+        for N in (2, 3, 6, 12, 50):
+            for w1, w2 in [(0.0, 0.0), (1e-3, 0.0), (10.0, 1.0), (300.0, 2.0), (999.0, 999.0),
+                           (0.0, 998.0), (998.0, 0.0), (500.0, 700.0), (5.0, 2.0)]:
+                p = OscillatorParams.from_couplings(N, w1, w2)
+                for L in (0, 1, 5):
+                    m = overlap_matrix(p, L, 19)
+                    assert np.max(np.abs(m - np.eye(20))) <= 1e-10, (N, w1, w2, L)
 
     def test_trivial_size(self):
         p = OscillatorParams(N=2)
@@ -379,7 +423,7 @@ class TestVerificationReport:
 
 def oracle_errors(params, L, n_values):
     """oracle_energy_relerr of each state, as `verify` computes it at its default grid."""
-    reports = _verify_block(params, L, list(n_values), 2000, 200, 1.0)
+    reports = _verify_block(params, L, list(n_values), 2000, 1.0)
     return [rep.oracle_energy_relerr for rep in reports]
 
 
@@ -438,6 +482,7 @@ class TestInputValidation:
         (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
         (lambda: project_to_plane_jacobi(W5_2, QuantumNumbers(1, 1), math.inf), DomainError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 1.5, 0.5), DomainError),
+        (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 0.0, 0.0), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, 1, MAX_GRID_POINTS + 1), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, MAX_FD_LEVELS + 1, 1000), DomainError),
         # the oracle's coarse grid, 999 // 2, is below the operator's floor
@@ -466,6 +511,7 @@ class TestInputValidation:
             "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf",
             "project_to_plane_jacobi-r-inf", "gauss_jacobi_rule-nodes-cap",
+            "gauss_jacobi_rule-nodes-cap-legendre",
             "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap",
             "verification_report-coarse-grid", "epsilon-huge-n", "epsilon-huge-L",
             "energy-huge-n", "energy-huge-L", "energy_equal_omegas-huge-n",
