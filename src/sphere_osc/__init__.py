@@ -13,29 +13,21 @@ from .model import (
     QuantumNumbers,
     big_lambda,
     finite_radius_params,
-    lambda_of_energy,
     mu,
     potential_theta,
-    potential_theta_alt,
 )
 from .spectrum import (
     SpectrumTable,
     energy,
-    energy_equal_omegas,
     energy_euclidean,
-    energy_omega2_zero,
     epsilon,
     spectrum_table,
 )
 from .eigenfunctions import (
     eval_F,
-    eval_F_form_a,
-    eval_F_gegenbauer,
     eval_f_euclidean,
     project_to_plane,
-    project_to_plane_jacobi,
     r_from_theta,
-    reflection_check,
     theta_from_r,
 )
 from .verify import (
@@ -60,26 +52,18 @@ __all__ = [
     "EuclideanParams",
     "mu",
     "potential_theta",
-    "potential_theta_alt",
-    "lambda_of_energy",
     "big_lambda",
     "finite_radius_params",
     "SpectrumTable",
     "epsilon",
     "energy",
-    "energy_equal_omegas",
-    "energy_omega2_zero",
     "energy_euclidean",
     "spectrum_table",
     "eval_F",
-    "eval_F_form_a",
-    "eval_F_gegenbauer",
     "eval_f_euclidean",
-    "reflection_check",
     "r_from_theta",
     "theta_from_r",
     "project_to_plane",
-    "project_to_plane_jacobi",
     "QuadratureRule",
     "DiscretizedOperator",
     "VerificationReport",

@@ -29,6 +29,9 @@ _PHYSICAL_FLAGS = ("omega1", "omega2", "radius", "mass", "hbar")
 
 # Largest `wavefunction --grid`: the CLI builds every theta node and row in memory.
 MAX_WAVEFUNCTION_GRID = 10**6
+# Largest `--format json` table of `spectrum` and `wavefunction`: json.dumps holds
+# a dict per row, so 250 000 rows peak near the 10^6 rows of a CSV table.
+MAX_JSON_ROWS = 250_000
 
 
 class UsageError(Exception):
@@ -67,6 +70,11 @@ def _emit(config: dict, header: list[str], rows: list[tuple], out: str | None, f
             raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
         with fh:
             fh.write(text)
+
+
+def _check_json_rows(args, rows: int):
+    if args.format == "json":
+        check_int("JSON rows", rows, 1, MAX_JSON_ROWS)
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -131,6 +139,7 @@ def _cmd_spectrum(args) -> int:
     params, config = _resolve_params(args)
     if args.nmax < 0 or args.lmax < 0:
         raise UsageError("--nmax and --lmax must be >= 0")
+    _check_json_rows(args, (args.nmax + 1) * (args.lmax + 1))
     config = {"command": "spectrum", **config, "nmax": args.nmax, "lmax": args.lmax,
               "format": args.format}
     table = spectrum_mod.spectrum_table(params, args.nmax, args.lmax)
@@ -144,6 +153,7 @@ def _cmd_wavefunction(args) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
     check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
+    _check_json_rows(args, args.grid)
     qn = QuantumNumbers(args.ntheta, args.l)
     config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
               "grid": args.grid, "projected": bool(args.projected), "format": args.format}

@@ -1,8 +1,7 @@
 """Normalized quasi-radial eigenfunctions and their flat-space images.
 
-The sphere eigenfunctions come in several algebraically equivalent dressings
-(half-angle powers, (1 -+ cos) powers, a Gegenbauer form for the symmetric
-trap); all of them are assembled in log space and exponentiated last.  The
+The sphere eigenfunctions are evaluated in one form, half-angle powers times
+a Jacobi polynomial, assembled in log space and exponentiated last.  The
 stereographic map and the large-radius radial functions live here too.
 
 Sign convention: every normalization constant is taken positive, so the
@@ -12,7 +11,6 @@ polynomial factor alone decides the sign.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +39,6 @@ def checked_mu(params: OscillatorParams, L: int) -> tuple[float, float]:
     return mu1, mu2
 
 
-@lru_cache(maxsize=8192)
 def _log_prefactor_halfangle(params: OscillatorParams, qn: QuantumNumbers):
     """Log of the positive normalization constant of the half-angle form.
 
@@ -144,73 +141,6 @@ def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas, n_min: 
             yield log_abs, np.sign(poly)
 
 
-def eval_F_form_a(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
-    """Same eigenfunction through the (1 -+ cos theta) power factorization."""
-    check_range("theta", theta, 0.0, math.pi)
-    _, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
-    n, N = qn.n_theta, params.N
-    lg = special.log_gamma
-    log_norm = 0.5 * (
-        lg(n + 1.0)
-        + math.log(2.0 * n + mu1 + mu2 + 1.0)
-        + lg(n + mu1 + mu2 + 1.0)
-        - N * math.log(params.R)
-        - (mu1 + mu2 + 1.0) * _LOG2
-        - lg(n + mu1 + 1.0)
-        - lg(n + mu2 + 1.0)
-    )
-    if theta == 0.0:
-        log_p1 = special.jacobi_log_endpoint(n, JacobiParams(mu2, mu1))
-        return _endpoint_value(0.5 * e0, log_norm + 0.5 * e1 * _LOG2 + log_p1, 1.0)
-    if theta == math.pi:
-        log_pm1 = special.jacobi_log_endpoint(n, JacobiParams(mu1, mu2))
-        return _endpoint_value(0.5 * e1, log_norm + 0.5 * e0 * _LOG2 + log_pm1, (-1.0) ** n)
-    x = math.cos(theta)
-    poly = special.jacobi_eval(n, JacobiParams(mu2, mu1), x)
-    envelope = log_norm + 0.5 * e0 * math.log1p(-x) + 0.5 * e1 * math.log1p(x)
-    return math.exp(envelope) * poly
-
-
-def eval_F_gegenbauer(params: OscillatorParams, qn: QuantumNumbers, theta: float) -> float:
-    """Symmetric-trap eigenfunction in its Gegenbauer dressing (omega1 == omega2)."""
-    if params.omega1 != params.omega2:
-        raise DomainError("eval_F_gegenbauer requires omega1 == omega2")
-    check_range("theta", theta, 0.0, math.pi)
-    mu_l, _ = checked_mu(params, qn.L)
-    n, N = qn.n_theta, params.N
-    lg = special.log_gamma
-    log_norm = 0.5 * (
-        (2.0 * mu_l - 1.0) * _LOG2
-        + lg(n + 1.0)
-        + math.log(2.0 * n + 2.0 * mu_l + 1.0)
-        + 2.0 * lg(mu_l + 0.5)
-        - N * math.log(params.R)
-        - math.log(math.pi)
-        - lg(n + 2.0 * mu_l + 1.0)
-    )
-    e = mu_l - 0.5 * N + 1.0
-    lam = mu_l + 0.5
-    if theta == 0.0 or theta == math.pi:
-        # C_n^lam(+-1) = (+-1)^n * Gamma(n + 2 lam) / (n! Gamma(2 lam))
-        log_c = lg(n + 2.0 * lam) - lg(n + 1.0) - lg(2.0 * lam)
-        sign = 1.0 if theta == 0.0 else (-1.0) ** n
-        return _endpoint_value(e, log_norm + log_c, sign)
-    poly = special.gegenbauer_eval(n, lam, math.cos(theta))
-    return math.exp(log_norm + e * math.log(math.sin(theta))) * poly
-
-
-def reflection_check(params: OscillatorParams, qn: QuantumNumbers, theta: float):
-    """Pair (F(theta) of the tan^2-only trap, F(pi-theta) of its cot^2 mirror).
-
-    The two agree up to the factor (-1)^n_theta, which is what the caller
-    asserts.
-    """
-    if params.omega2 != 0.0:
-        raise DomainError("reflection_check expects the omega2 == 0 orientation")
-    mirror = params.swapped()
-    return eval_F(params, qn, theta), eval_F(mirror, qn, math.pi - theta)
-
-
 def r_from_theta(R: float, theta):
     """Stereographic image r = 2 R tan(theta/2), scalar or array; the south pole maps to infinity."""
     check_real("R", R, 0.0, strict=True)
@@ -238,26 +168,6 @@ def project_to_plane(params: OscillatorParams, qn: QuantumNumbers, r):
     return conformal_factor(params, r) * eval_F(params, qn, theta)
 
 
-def project_to_plane_jacobi(params: OscillatorParams, qn: QuantumNumbers, r: float) -> float:
-    """Same projected radial function, evaluated directly in the r variable.
-
-    Independent algebraic route used to cross-check project_to_plane.
-    """
-    check_real("r", r, 0.0)
-    log_norm, e0, _, mu1, mu2 = _log_prefactor_halfangle(params, qn)
-    lam_half = mu2  # big-Lambda + 1/2 of the flat-space identification
-    n = qn.n_theta
-    if r == 0.0:
-        log_p1 = special.jacobi_log_endpoint(n, JacobiParams(lam_half, mu1))
-        return _endpoint_value(e0, log_norm + log_p1, 1.0)
-    u = r / (2.0 * params.R)
-    q = 1.0 + u * u
-    x = (1.0 - u * u) / q
-    poly = special.jacobi_eval(n, JacobiParams(lam_half, mu1), x)
-    envelope = log_norm + e0 * math.log(u) - 0.5 * (mu1 + mu2) * math.log(q)
-    return math.exp(envelope) * poly
-
-
 def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
     """Normalized flat-space radial function of the centrifugally perturbed trap, scalar or array."""
     n_r = check_int("n_r", n_r, 0)
@@ -269,10 +179,13 @@ def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
     lg = special.log_gamma
     log_norm = 0.5 * (_LOG2 + lg(n_r + 1.0) - lg(n_r + lam + 1.5)) + 0.25 * eparams.N * math.log(scale)
     e = 0.5 * lam - 0.25 * eparams.N + 0.75
-    x = scale * rs * rs
+    with np.errstate(over="ignore"):  # x = inf far out, where f is 0
+        x = scale * rs * rs
     log_poly0 = lg(n_r + lam + 1.5) - lg(n_r + 1.0) - lg(lam + 1.5)  # L_n^(lam+1/2)(0), as log
-    values = np.full_like(x, _endpoint_value(e, log_norm + log_poly0, 1.0))
-    pos = x > 0.0
-    x = x[pos]
-    values[pos] = np.exp(log_norm + e * np.log(x) - 0.5 * x) * special.laguerre_eval(n_r, lam + 0.5, x)
+    values = np.where(x > 0.0, 0.0, _endpoint_value(e, log_norm + log_poly0, 1.0))
+    live = np.flatnonzero((x > 0.0) & (x < math.inf))
+    envelope = np.exp(log_norm + e * np.log(x[live]) - 0.5 * x[live])
+    # where the envelope underflows to 0 the Laguerre factor may overflow: f is 0 there
+    live, envelope = live[envelope > 0.0], envelope[envelope > 0.0]
+    values[live] = envelope * special.laguerre_eval(n_r, lam + 0.5, x[live])
     return _like(values, r)

@@ -151,31 +151,6 @@ def potential_theta(params: OscillatorParams, theta: float) -> float:
     return c1 * t2 + c2 / t2
 
 
-def potential_theta_alt(params: OscillatorParams, theta: float) -> float:
-    """Algebraically equivalent sec^2/csc^2 form of the potential, for cross-checks."""
-    check_range("theta", theta, 0.0, math.pi)
-    c1 = 2.0 * params.m * params.omega1**2 * params.R**2
-    c2 = 2.0 * params.m * params.omega2**2 * params.R**2
-    if theta == 0.0:
-        return math.inf if c2 > 0.0 else 0.0
-    if theta == math.pi:
-        return math.inf if c1 > 0.0 else 0.0
-    half = 0.5 * theta
-    return c1 / math.cos(half) ** 2 + c2 / math.sin(half) ** 2 - (c1 + c2)
-
-
-def lambda_of_energy(params: OscillatorParams, E: float) -> float:
-    """Auxiliary spectral parameter of the hypergeometric reduction.
-
-    Diagnostic: at an eigenvalue it equals n_theta + (mu_L1 + mu_L2)/2.
-    """
-    eps = E / params.energy_unit
-    radicand = (params.N - 1.0) ** 2 + params.w1**2 + params.w2**2 + 4.0 * eps
-    if radicand < 0.0:
-        raise DomainError(f"energy {E!r} below the admissible range (negative radicand)")
-    return -0.5 + 0.5 * math.sqrt(radicand)
-
-
 def big_lambda(eparams: EuclideanParams, L: int) -> float:
     """Effective flat-space angular quantum number sqrt((L+N/2-1)^2 + chi^2) - 1/2."""
     return math.hypot(half_index(eparams.N, check_int("L", L)), eparams.chi) - 0.5

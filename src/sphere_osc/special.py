@@ -82,21 +82,6 @@ def jacobi_eval(n: int, params: JacobiParams, x):
     return float(p) if np.ndim(x) == 0 else p
 
 
-def gegenbauer_eval(n: int, lam: float, x):
-    """Gegenbauer polynomial C_n^lam(x) on [-1, 1] via its recurrence."""
-    n = check_int("degree", n, 0)
-    check_real("lam", lam, -0.5, strict=True)
-    check_envelope("lam", lam, MAX_RECURRENCE_PARAM)
-    xa = check_range("x", np.asarray(x, dtype=float), -1.0, 1.0)
-    c = np.ones_like(xa)
-    if n >= 1:
-        cm1 = c
-        c = 2.0 * lam * xa
-        for k in range(2, n + 1):
-            c, cm1 = (2.0 * (k + lam - 1.0) * xa * c - (k + 2.0 * lam - 2.0) * cm1) / k, c
-    return float(c) if np.ndim(x) == 0 else c
-
-
 def laguerre_eval(n: int, a: float, x):
     """Generalized Laguerre polynomial L_n^(a)(x) for x >= 0 via its recurrence."""
     n = check_int("degree", n, 0)

@@ -1,4 +1,4 @@
-"""Closed-form energy levels: general potential, special cases, flat-space limit."""
+"""Closed-form energy levels of the general potential and of its flat-space limit."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import DomainError, RangeError, check_envelope, check_int
+from .errors import RangeError, check_envelope, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
 # Largest number of levels, (n_max + 1) * (L_max + 1), in one spectrum table.
@@ -23,21 +23,6 @@ class SpectrumTable(NamedTuple):
     energy: np.ndarray
 
 
-def _certify(what: str, eps, n, L, unit: float):
-    """Raise RangeError at the first (n_theta, L), L-major, whose level is not finite.
-
-    Finite as eps * unit implies finite as eps, the unit being finite and
-    positive.  Takes scalars or arrays broadcast over (L, n_theta).
-    """
-    with np.errstate(over="ignore"):
-        bad = ~np.isfinite(eps * unit)
-    if bad.any():
-        bad, n, L, eps = (np.ravel(x) for x in np.broadcast_arrays(bad, n, L, eps))
-        i = int(np.argmax(bad))
-        raise RangeError(f"{what} of (n_theta, L) = ({n[i]}, {L[i]}) is not finite: "
-                         f"epsilon {float(eps[i])!r}, energy unit {unit!r}")
-
-
 def _coupling_shift(params: OscillatorParams, L: int, k: int) -> float:
     """mu_k - (L + N/2 - 1), formed as w_k^2 / (mu_k + L + N/2 - 1) without cancellation."""
     w = params.coupling(k)
@@ -45,19 +30,27 @@ def _coupling_shift(params: OscillatorParams, L: int, k: int) -> float:
 
 
 def _certified_levels(params: OscillatorParams, n, L_values, unit: float) -> np.ndarray:
-    """Levels (see `epsilon`) on the grid L_values x n, certified finite; L terms once per L.
+    """Levels (see `epsilon`) on the grid L_values x n, L terms once per L.
 
     No term cancels another, so a level keeps full precision until it
     overflows.  numpy's elementwise + - * round as Python floats do: the
-    scalar route is the 1 x 1 grid.
+    scalar route is the 1 x 1 grid.  RangeError names the first (n_theta, L),
+    L-major, whose level is not finite as an energy, which implies finite as
+    epsilon, the unit being finite and positive.
     """
     N = params.N
     lr, half, d1, d2 = np.array([(model.reduce_L(N, L), model.half_index(N, L),
                                   _coupling_shift(params, L, 1), _coupling_shift(params, L, 2))
                                  for L in L_values]).T[:, :, None]
-    with np.errstate(over="ignore"):  # an overflow is reported by _certify instead
+    with np.errstate(over="ignore"):  # an overflow is reported below instead
         eps = (n + lr) * (n + lr + (N - 1)) + (n + 0.5 + 0.5 * half) * (d1 + d2) + 0.5 * d1 * d2
-    _certify("energy", eps, n, np.array(L_values)[:, None], unit)
+        bad = ~np.isfinite(eps * unit)
+    if bad.any():
+        L = np.array(L_values)[:, None]
+        bad, n, L, e = (np.ravel(x) for x in np.broadcast_arrays(bad, n, L, eps))
+        i = int(np.argmax(bad))
+        raise RangeError(f"energy of (n_theta, L) = ({n[i]}, {L[i]}) is not finite: "
+                         f"epsilon {float(e[i])!r}, energy unit {unit!r}")
     return eps
 
 
@@ -78,33 +71,6 @@ def energy(params: OscillatorParams, qn: QuantumNumbers) -> float:
     return float(_certified_levels(params, qn.n_theta, [qn.L], unit)[0, 0]) * unit
 
 
-def energy_equal_omegas(params: OscillatorParams, qn: QuantumNumbers) -> float:
-    """Level for the symmetric trap omega1 == omega2 (inverse-sin-squared well)."""
-    if params.omega1 != params.omega2:
-        raise DomainError("energy_equal_omegas requires omega1 == omega2")
-    w = params.w1
-    mu_l = model.mu(params, qn.L, 1)
-    half = model.half_index(params.N, qn.L)
-    n, N = qn.n_theta, params.N
-    eps = (n + 0.5 * N) * (n + 1.0 - 0.5 * N) + half * half + (2.0 * n + 1.0) * mu_l + 0.5 * w * w
-    _certify("equal-trap energy", eps, n, qn.L, params.energy_unit)
-    return eps * params.energy_unit
-
-
-def energy_omega2_zero(params: OscillatorParams, qn: QuantumNumbers) -> float:
-    """Level for the single-trap case omega2 == 0 (isotropic-oscillator analogue)."""
-    if params.omega2 != 0.0:
-        raise DomainError("energy_omega2_zero requires omega2 == 0")
-    mu_l = model.mu(params, qn.L, 1)
-    half = model.half_index(params.N, qn.L)
-    lr = model.reduce_L(params.N, qn.L)
-    n, N = qn.n_theta, params.N
-    eps = ((n + 0.5 * lr + 0.75 * N - 0.5) * (n + 0.5 * lr - 0.25 * N + 0.5)
-           + 0.25 * half * half + (n + 0.5 * lr + 0.25 * N) * mu_l)
-    _certify("single-trap energy", eps, n, qn.L, params.energy_unit)
-    return eps * params.energy_unit
-
-
 def energy_euclidean(eparams: EuclideanParams, n_r: int, L: int) -> float:
     """Flat-space level hbar*omega*(2 n_r + 1 + sqrt((L+N/2-1)^2 + chi^2))."""
     n_r = check_int("n_r", n_r, 0)
@@ -120,7 +86,8 @@ def spectrum_table(params: OscillatorParams, n_max: int, L_max: int) -> Spectrum
     """
     n_max = check_int("n_max", n_max, 0)
     L_max = check_int("L_max", L_max, 0)
-    check_envelope("levels", (n_max + 1) * (L_max + 1), MAX_LEVELS)
+    # as floats the count is inf, not an OverflowError, past 1e308
+    check_envelope("levels", (n_max + 1.0) * (L_max + 1.0), MAX_LEVELS)
     unit = params.energy_unit
     eps = _certified_levels(params, np.arange(n_max + 1), range(L_max + 1), unit).ravel()
     L, n = np.divmod(np.arange(eps.size), n_max + 1)

@@ -329,8 +329,8 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     return vals
 
 
-def _node_grid(grid_points: int) -> np.ndarray:
-    return np.linspace(0.0, math.pi, grid_points + 2)[1:-1]
+def _node_grid() -> np.ndarray:
+    return np.linspace(0.0, math.pi, NODE_GRID_POINTS + 2)[1:-1]
 
 
 def _sign_changes(vals: np.ndarray) -> int:
@@ -339,11 +339,9 @@ def _sign_changes(vals: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def node_count(params: OscillatorParams, qn: QuantumNumbers,
-               grid_points: int = NODE_GRID_POINTS) -> int:
-    """Sign changes of the eigenfunction on the open interval (0, pi)."""
-    grid = _node_grid(check_int("grid_points", grid_points, 2))
-    return _sign_changes(eigenfunctions.eval_F(params, qn, grid))
+def node_count(params: OscillatorParams, qn: QuantumNumbers) -> int:
+    """Sign changes of the eigenfunction on NODE_GRID_POINTS points of the open interval (0, pi)."""
+    return _sign_changes(eigenfunctions.eval_F(params, qn, _node_grid()))
 
 
 def loglog_slope(xs, ys) -> float:
@@ -352,14 +350,14 @@ def loglog_slope(xs, ys) -> float:
                             np.log(np.asarray(ys, dtype=float)), 1)[0])
 
 
-def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
-                         num_r: int = 64) -> list[tuple[float, float, float]]:
+def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers,
+                         R_values) -> list[tuple[float, float, float]]:
     """Error table of the large-radius limit at a list of sphere radii.
 
     For each R the sphere trap is pinned to w2 = chi (omega2 proportional to
     1/R^2), and the table records |E(R) - E_flat| together with the worst
     pointwise gap between the projected and the flat radial functions on
-    num_r equispaced points of r in (0, 4 sqrt(hbar / m omega)].  The flat
+    64 equispaced points of r in (0, 4 sqrt(hbar / m omega)].  The flat
     function is evaluated once over all points, the projected one once per R.
     """
     if eparams.omega <= 0.0:
@@ -367,10 +365,9 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers, R_values,
     radii = [check_real("R", float(r), 0.0, strict=True) for r in R_values]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("R_values must be nonempty and strictly ascending")
-    num_r = check_int("num_r", num_r, 1)
     e_flat = spectrum.energy_euclidean(eparams, qn.n_theta, qn.L)
     r_max = 4.0 * math.sqrt(eparams.hbar / (eparams.m * eparams.omega))
-    rs = np.linspace(0.0, r_max, num_r + 1)[1:]
+    rs = np.linspace(0.0, r_max, 65)[1:]
     f_flat = eigenfunctions.eval_f_euclidean(eparams, qn.n_theta, qn.L, rs)
     table = []
     for radius in radii:
@@ -406,8 +403,7 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     norms = [_norm_integral(rule, log_abs, sign, measure_log)
              for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
     nodes = [_sign_changes(sign * np.exp(log_abs))
-             for log_abs, sign in eigenfunctions.log_abs_F_rows(
-                 params, L, n_max, _node_grid(NODE_GRID_POINTS))]
+             for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, _node_grid())]
     residuals = _ode_residuals(params, L, n_values, eps, _ODE_GRID)
     return [VerificationReport(
         state=QuantumNumbers(n, L),

@@ -3,7 +3,9 @@
 The product forms of the energy levels cancel terms of size w^2/4, so the
 package returns the expanded forms and the tests compare the two.  The
 terminating hypergeometric series and the Jacobi norm check the recurrences
-and the quadrature rule.
+and the quadrature rule.  The mpmath eigenfunctions (half-angle, projected
+in r, and the Gegenbauer form of the symmetric trap) check eval_F and
+project_to_plane.
 """
 
 import math
@@ -90,21 +92,56 @@ def jacobi_log_norm_sq(n: int, params: JacobiParams) -> float:
     )
 
 
-def mp_eval_F(N: int, n: int, L: int, w1: float, w2: float, theta: float) -> float:
-    """Normalized eigenfunction C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) at R = 1, in mpmath.
+def _mp_state(N: int, n: int, L: int, w1: float, w2: float):
+    """(mu1, mu2, e0, e1, C) of F = C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) at R = 1, at the working precision.
 
     s, c = sin, cos(theta/2).  C comes from the Jacobi norm, not from the
     package's constant: the measure sin^(N-1)(theta) dtheta turns F^2 into
     C^2 2^-(e0+e1) (1-x)^mu2 (1+x)^mu1 P_n^2 dx.
     """
+    h = mpmath.mpf(half_index(N, L))
+    mu1, mu2 = (mpmath.sqrt(h * h + mpmath.mpf(w) ** 2) for w in (w1, w2))
+    e0, e1 = mu2 - mpmath.mpf(N) / 2 + 1, mu1 - mpmath.mpf(N) / 2 + 1
+    lg = mpmath.loggamma
+    log_norm_sq = ((mu1 + mu2 + 1) * mpmath.ln(2) + lg(n + mu2 + 1) + lg(n + mu1 + 1)
+                   - lg(n + 1) - mpmath.ln(2 * n + mu1 + mu2 + 1) - lg(n + mu1 + mu2 + 1))
+    return mu1, mu2, e0, e1, mpmath.exp(((e0 + e1) * mpmath.ln(2) - log_norm_sq) / 2)
+
+
+def mp_eval_F(N: int, n: int, L: int, w1: float, w2: float, theta: float) -> float:
+    """Normalized eigenfunction C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) at R = 1, in mpmath."""
     with mpmath.workdps(50):
-        h = mpmath.mpf(half_index(N, L))
-        mu1, mu2 = (mpmath.sqrt(h * h + mpmath.mpf(w) ** 2) for w in (w1, w2))
-        e0, e1 = mu2 - mpmath.mpf(N) / 2 + 1, mu1 - mpmath.mpf(N) / 2 + 1
-        lg = mpmath.loggamma
-        log_norm_sq = ((mu1 + mu2 + 1) * mpmath.ln(2) + lg(n + mu2 + 1) + lg(n + mu1 + 1)
-                       - lg(n + 1) - mpmath.ln(2 * n + mu1 + mu2 + 1) - lg(n + mu1 + mu2 + 1))
-        c = mpmath.exp(((e0 + e1) * mpmath.ln(2) - log_norm_sq) / 2)
+        mu1, mu2, e0, e1, c = _mp_state(N, n, L, w1, w2)
         t = mpmath.mpf(theta)
         return float(c * mpmath.sin(t / 2) ** e0 * mpmath.cos(t / 2) ** e1
                      * mpmath.jacobi(n, mu2, mu1, mpmath.cos(t)))
+
+
+def mp_project_to_plane(N: int, n: int, L: int, w1: float, w2: float, r: float) -> float:
+    """F carried onto the tangent plane at R = 1, written in r, in mpmath.
+
+    With u = r/2 and q = 1 + u^2, sin(theta/2) = u/sqrt(q), cos(theta/2) =
+    1/sqrt(q) and cos(theta) = (1 - u^2)/q; with the conformal factor
+    q^-(N/2 - 1) that gives f = C u^e0 q^-(mu1 + mu2)/2 P_n^(mu2,mu1)((1 - u^2)/q).
+    """
+    with mpmath.workdps(50):
+        mu1, mu2, e0, _, c = _mp_state(N, n, L, w1, w2)
+        u = mpmath.mpf(r) / 2
+        q = 1 + u * u
+        return float(c * u**e0 * q ** (-(mu1 + mu2) / 2) * mpmath.jacobi(n, mu2, mu1, (1 - u * u) / q))
+
+
+def mp_eval_F_gegenbauer(N: int, n: int, L: int, w: float, theta: float) -> float:
+    """Symmetric-trap (w1 = w2 = w) eigenfunction C sin^e(theta) C_n^(mu+1/2)(cos theta) at R = 1.
+
+    In mpmath, with e = mu - N/2 + 1 and
+    C^2 = 2^(2 mu - 1) n! (2n + 2mu + 1) Gamma(mu + 1/2)^2 / (pi Gamma(n + 2mu + 1)).
+    """
+    with mpmath.workdps(50):
+        h = mpmath.mpf(half_index(N, L))
+        mu = mpmath.sqrt(h * h + mpmath.mpf(w) ** 2)
+        c_sq = (2 ** (2 * mu - 1) * mpmath.factorial(n) * (2 * n + 2 * mu + 1)
+                * mpmath.gamma(mu + 0.5) ** 2 / (mpmath.pi * mpmath.gamma(n + 2 * mu + 1)))
+        t = mpmath.mpf(theta)
+        return float(mpmath.sqrt(c_sq) * mpmath.sin(t) ** (mu - mpmath.mpf(N) / 2 + 1)
+                     * mpmath.gegenbauer(n, mu + 0.5, mpmath.cos(t)))

@@ -12,18 +12,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from oracle_forms import epsilon_product, hyp2f1_terminating
-from sphere_osc.eigenfunctions import (
-    eval_F,
-    eval_F_form_a,
-    eval_F_gegenbauer,
-    eval_f_euclidean,
-    reflection_check,
+from oracle_forms import (
+    epsilon_product,
+    epsilon_product_equal_omegas,
+    epsilon_product_omega2_zero,
+    hyp2f1_terminating,
+    mp_eval_F,
+    mp_eval_F_gegenbauer,
 )
+from sphere_osc.eigenfunctions import eval_F, eval_f_euclidean
 from sphere_osc.model import (
     EuclideanParams,
     OscillatorParams,
@@ -33,19 +35,12 @@ from sphere_osc.model import (
 )
 from sphere_osc.special import (
     JacobiParams,
-    gegenbauer_eval,
     jacobi_eval,
     jacobi_log_endpoint,
     laguerre_eval,
     log_gamma,
 )
-from sphere_osc.spectrum import (
-    energy,
-    energy_equal_omegas,
-    energy_euclidean,
-    energy_omega2_zero,
-    epsilon,
-)
+from sphere_osc.spectrum import epsilon
 from sphere_osc.verify import (
     euclidean_limit_scan,
     fd_eigensolve,
@@ -135,15 +130,18 @@ def test_criterion_2_form_equivalences():
         p_gen = OscillatorParams.from_couplings(n_dim, w1, w2)
         m1, m2 = mu(p_gen, ang, 1), mu(p_gen, ang, 2)
         worst = max(worst, rel(epsilon_product(n_dim, n, m1, m2, w1, w2), epsilon(p_gen, qn)))
-        worst = max(worst, rel(eval_F(p_gen, qn, theta), eval_F_form_a(p_gen, qn, theta)))
+        worst = max(worst, rel(eval_F(p_gen, qn, theta), mp_eval_F(n_dim, n, ang, w1, w2, theta)))
 
         p_single = OscillatorParams.from_couplings(n_dim, w1, 0.0)
-        worst = max(worst, rel(energy_omega2_zero(p_single, qn), energy(p_single, qn)))
+        single = epsilon_product_omega2_zero(n_dim, n, ang, mu(p_single, ang, 1), w1)
+        worst = max(worst, rel(single, epsilon(p_single, qn)))
 
         p_sym = OscillatorParams.from_couplings(n_dim, w1, w1)
-        worst = max(worst, rel(energy_equal_omegas(p_sym, qn), energy(p_sym, qn)))
-        worst = max(worst, rel(eval_F_gegenbauer(p_sym, qn, theta), eval_F(p_sym, qn, theta)))
-    _verdict(2, "all closed-form dressings agree on 1000 randomized cases",
+        sym = epsilon_product_equal_omegas(n_dim, n, mu(p_sym, ang, 1), w1)
+        worst = max(worst, rel(sym, epsilon(p_sym, qn)))
+        gegen = mp_eval_F_gegenbauer(n_dim, n, ang, w1, theta)
+        worst = max(worst, rel(gegen, eval_F(p_sym, qn, theta)))
+    _verdict(2, "closed forms agree with the special-case and mpmath forms on 1000 randomized cases",
              worst <= 1e-12, f"max relerr {worst:.2e}")
 
 
@@ -189,8 +187,8 @@ def test_criterion_6_free_particle_reduction(state_checks):
         exact = exact and entry["norm_err"] <= 1e-10 and entry["resid"] <= 1e-8
         exact = exact and entry["nodes"] == qn.n_theta
         for theta in (0.7, 1.9):
-            worst_gegen = max(worst_gegen, rel(eval_F_gegenbauer(params, qn, theta),
-                                               eval_F(params, qn, theta)))
+            gegen = mp_eval_F_gegenbauer(params.N, qn.n_theta, qn.L, 0.0, theta)
+            worst_gegen = max(worst_gegen, rel(gegen, eval_F(params, qn, theta)))
     ok = exact and worst_gegen <= 1e-12 and freebies == len(GRID_NS) * len(GRID_LS) * (N_THETA_MAX + 1)
     _verdict(6, "free-particle levels integer-exact, rotor eigenfunctions pass gates",
              ok, f"{freebies} states, gegenbauer gap {worst_gegen:.2e}")
@@ -247,9 +245,9 @@ def test_criterion_8_special_function_identities():
                 log_ratio = (2.0 * m_exp * math.log(2.0) + log_gamma(m_exp + 0.5)
                              + log_gamma(n + m_exp + 1.0) - 0.5 * math.log(math.pi)
                              - log_gamma(n + 2.0 * m_exp + 1.0))
-                worst_gegen = max(worst_gegen,
-                                  rel(jacobi_eval(n, JacobiParams(m_exp, m_exp), x),
-                                      math.exp(log_ratio) * gegenbauer_eval(n, m_exp + 0.5, x)))
+                gegen = float(mpmath.gegenbauer(n, m_exp + 0.5, x))
+                worst_gegen = max(worst_gegen, rel(jacobi_eval(n, JacobiParams(m_exp, m_exp), x),
+                                                   math.exp(log_ratio) * gegen))
 
     xs = np.linspace(0.0, 5.0, 41)
     betas = np.geomspace(1e2, 1e5, 7)

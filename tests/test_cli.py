@@ -249,6 +249,9 @@ class TestExitCodes:
         # size caps, checked before anything is allocated
         "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",
         "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
+        # JSON tables hold a dict per row: at most MAX_JSON_ROWS
+        "spectrum --dim 3 --w1 5 --w2 2 --nmax 499 --lmax 999 --format json",
+        "wavefunction --dim 3 --w1 5 --w2 2 --grid 250001 --format json",
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 10000000000000000000000",
         # the oracle's coarse grid, --grid-points // 2, must keep the 500-point floor
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 999",

@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
-from oracle_forms import mp_eval_F
+from oracle_forms import mp_eval_F, mp_eval_F_gegenbauer, mp_project_to_plane
 from sphere_osc.eigenfunctions import (
     eval_F,
-    eval_F_form_a,
-    eval_F_gegenbauer,
     eval_f_euclidean,
     log_abs_F_grid,
     log_abs_F_rows,
     project_to_plane,
-    project_to_plane_jacobi,
     r_from_theta,
-    reflection_check,
     theta_from_r,
 )
 from sphere_osc.errors import DomainError, RangeError
@@ -45,7 +41,7 @@ class TestHalfAngleForm:
     def test_forms_agree_at_midpoint(self):
         p = OscillatorParams.from_couplings(3, 2.0, 0.5)
         qn = QuantumNumbers(2, 1)
-        assert rel(eval_F(p, qn, HALF_PI), eval_F_form_a(p, qn, HALF_PI)) <= 1e-13
+        assert rel(eval_F(p, qn, HALF_PI), mp_eval_F(3, 2, 1, p.w1, p.w2, HALF_PI)) <= 1e-13
 
     def test_forms_agree_on_random_grid(self):
         rng = np.random.default_rng(5)
@@ -56,14 +52,15 @@ class TestHalfAngleForm:
                 R=float(rng.uniform(0.5, 2.0)))
             qn = QuantumNumbers(int(rng.integers(0, 6)), int(rng.integers(0, 4)))
             theta = float(rng.uniform(0.05, math.pi - 0.05))
-            assert rel(eval_F(p, qn, theta), eval_F_form_a(p, qn, theta)) <= 1e-12
+            # F scales as R^(-N/2); the reference is at R = 1
+            want = mp_eval_F(N, qn.n_theta, qn.L, p.w1, p.w2, theta)
+            assert rel(p.R ** (0.5 * N) * eval_F(p, qn, theta), want) <= 1e-12
 
     def test_endpoint_zero_for_positive_exponent(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
         qn = QuantumNumbers(0, 0)
         assert eval_F(p, qn, 0.0) == 0.0
         assert eval_F(p, qn, math.pi) == 0.0
-        assert eval_F_form_a(p, qn, 0.0) == 0.0
 
     def test_endpoint_finite_for_zero_exponent(self):
         # w2 = 0, L = 0 makes the sin(theta/2) exponent exactly zero
@@ -131,29 +128,32 @@ class TestGegenbauerForm:
         for (n, L) in [(0, 0), (2, 1), (4, 2)]:
             qn = QuantumNumbers(n, L)
             for theta in (0.4, 1.1, HALF_PI, 2.6):
-                assert rel(eval_F_gegenbauer(p, qn, theta), eval_F(p, qn, theta)) <= 1e-12
+                assert rel(mp_eval_F_gegenbauer(3, n, L, p.w1, theta), eval_F(p, qn, theta)) <= 1e-12
 
     def test_free_particle_form(self):
-        # omega -> 0 becomes the free-particle eigenfunction
+        # omega -> 0 becomes the free-particle eigenfunction; F scales as R^(-N/2)
         p = OscillatorParams(N=4, R=1.2)
         for (n, L) in [(1, 0), (2, 3)]:
             qn = QuantumNumbers(n, L)
             for theta in (0.7, 1.9):
-                assert rel(eval_F_gegenbauer(p, qn, theta), eval_F(p, qn, theta)) <= 1e-12
+                want = mp_eval_F_gegenbauer(4, n, L, 0.0, theta)
+                assert rel(1.2**2 * eval_F(p, qn, theta), want) <= 1e-12
 
     def test_parity(self):
         p = OscillatorParams.from_couplings(2, 3.0, 3.0)
         for n in range(5):
             qn = QuantumNumbers(n, 1)
             for theta in (0.3, 0.9, 1.4):
-                lhs = eval_F_gegenbauer(p, qn, math.pi - theta)
-                rhs = (-1.0) ** n * eval_F_gegenbauer(p, qn, theta)
+                lhs = eval_F(p, qn, math.pi - theta)
+                rhs = (-1.0) ** n * eval_F(p, qn, theta)
                 assert rel(lhs, rhs) <= 1e-12
 
     def test_requires_equal_omegas(self):
+        # the Gegenbauer form at either coupling misses an asymmetric trap's state
         p = OscillatorParams.from_couplings(2, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            eval_F_gegenbauer(p, QuantumNumbers(0, 0), 1.0)
+        got = eval_F(p, QuantumNumbers(0, 0), 1.0)
+        for w in (1.0, 2.0):
+            assert rel(mp_eval_F_gegenbauer(2, 0, 0, w, 1.0), got) >= 0.1
 
     def test_ground_state_no_nodes(self):
         p = OscillatorParams.from_couplings(3, 1.5, 1.5)
@@ -167,18 +167,19 @@ class TestReflection:
         for n in range(4):
             qn = QuantumNumbers(n, 1)
             for theta in (0.5, 1.2, 2.0):
-                a, b = reflection_check(p, qn, theta)
+                a, b = eval_F(p, qn, theta), eval_F(p.swapped(), qn, math.pi - theta)
                 assert rel(a, (-1.0) ** n * b) <= 1e-12
 
     def test_midpoint_magnitudes(self):
         p = OscillatorParams.from_couplings(2, 1.5, 0.0)
-        a, b = reflection_check(p, QuantumNumbers(3, 0), HALF_PI)
-        assert rel(abs(a), abs(b)) <= 1e-13
+        qn = QuantumNumbers(3, 0)
+        assert rel(abs(eval_F(p, qn, HALF_PI)), abs(eval_F(p.swapped(), qn, HALF_PI))) <= 1e-13
 
     def test_orientation_required(self):
-        p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            reflection_check(p, QuantumNumbers(0, 0), 1.0)
+        # without exchanging the frequencies F(pi - theta) is no mirror image of F(theta)
+        p = OscillatorParams.from_couplings(3, 2.5, 0.0)
+        qn = QuantumNumbers(1, 1)
+        assert rel(abs(eval_F(p, qn, 0.5)), abs(eval_F(p, qn, math.pi - 0.5))) >= 0.1
 
 
 class TestStereographicMap:
@@ -224,7 +225,9 @@ class TestProjection:
                 R=float(rng.uniform(0.5, 3.0)))
             qn = QuantumNumbers(int(rng.integers(0, 5)), int(rng.integers(0, 3)))
             r = float(rng.uniform(0.01, 6.0 * p.R))
-            assert rel(project_to_plane(p, qn, r), project_to_plane_jacobi(p, qn, r)) <= 1e-12
+            # f_R(r) = R^(-N/2) f_1(r / R); the reference is at R = 1
+            want = mp_project_to_plane(N, qn.n_theta, qn.L, p.w1, p.w2, r / p.R)
+            assert rel(p.R ** (0.5 * N) * project_to_plane(p, qn, r), want) <= 1e-12
 
     def test_normalized_under_projected_measure(self):
         # integral r^(N-1) (4R^2/(r^2+4R^2))^2 f^2 dr = 1, integrated in theta
@@ -293,6 +296,13 @@ class TestEuclideanRadial:
             scale = max(abs(0.5 * d2), abs(0.5 * pot * u(r)), abs(e_flat * u(r)), 1e-300)
             worst = max(worst, abs(resid) / scale)
         assert worst <= 1e-8, f"worst residual {worst:.2e}"
+
+    def test_far_radius_is_zero(self):
+        # (m omega / hbar) r^2 overflows, or the Laguerre factor does where the Gaussian
+        # has underflowed: 0, with no warning (pytest makes a RuntimeWarning an error)
+        ep = EuclideanParams(N=3, omega=1.0, chi=1.5)
+        assert eval_f_euclidean(ep, 0, 0, 1e200) == 0.0
+        assert eval_f_euclidean(ep, 2, 0, 1e80) == 0.0
 
     def test_r_zero(self):
         ep = EuclideanParams(N=3, omega=1.0, chi=0.5)

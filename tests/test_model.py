@@ -11,10 +11,8 @@ from sphere_osc.model import (
     big_lambda,
     finite_radius_params,
     half_index,
-    lambda_of_energy,
     mu,
     potential_theta,
-    potential_theta_alt,
     reduce_L,
 )
 from sphere_osc.spectrum import energy, epsilon
@@ -22,6 +20,11 @@ from sphere_osc.spectrum import energy, epsilon
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def lambda_of_energy(p, E):
+    """Spectral parameter of the hypergeometric reduction: n_theta + (mu1 + mu2)/2 at a level."""
+    return -0.5 + 0.5 * math.sqrt((p.N - 1.0) ** 2 + p.w1**2 + p.w2**2 + 4.0 * E / p.energy_unit)
 
 
 class TestParams:
@@ -83,12 +86,15 @@ class TestPotential:
     def test_hard_endpoint(self):
         p = OscillatorParams(N=2, omega1=0.5, omega2=0.5)
         assert potential_theta(p, 0.0) == math.inf
-        assert potential_theta_alt(p, math.pi) == math.inf
+        assert potential_theta(p, math.pi) == math.inf
 
     def test_forms_agree(self):
+        # tan^2 = sec^2 - 1 and cot^2 = csc^2 - 1
         p = OscillatorParams(N=4, R=0.7, m=2.0, omega1=0.9, omega2=0.2)
+        c1, c2 = (2.0 * p.m * omega**2 * p.R**2 for omega in (p.omega1, p.omega2))
         for theta in np.linspace(0.05, math.pi - 0.05, 40):
-            assert rel(potential_theta(p, theta), potential_theta_alt(p, theta)) <= 1e-13
+            alt = c1 / math.cos(0.5 * theta) ** 2 + c2 / math.sin(0.5 * theta) ** 2 - (c1 + c2)
+            assert rel(potential_theta(p, theta), alt) <= 1e-13
 
     def test_mirror_symmetry(self):
         p = OscillatorParams(N=3, omega1=0.8, omega2=0.15)
@@ -101,7 +107,7 @@ class TestPotential:
         with pytest.raises(DomainError):
             potential_theta(p, -0.1)
         with pytest.raises(DomainError):
-            potential_theta_alt(p, math.pi + 0.1)
+            potential_theta(p, math.pi + 0.1)
 
 
 class TestMu:
@@ -163,11 +169,6 @@ class TestLambda:
         p = OscillatorParams(N=2)
         e = epsilon(p, QuantumNumbers(0, 1)) * p.energy_unit
         assert rel(lambda_of_energy(p, e), 1.0) <= 1e-14
-
-    def test_negative_radicand(self):
-        p = OscillatorParams(N=2)
-        with pytest.raises(DomainError):
-            lambda_of_energy(p, -100.0)
 
 
 class TestBigLambda:

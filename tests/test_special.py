@@ -8,7 +8,6 @@ from oracle_forms import hyp2f1_terminating, jacobi_log_norm_sq
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.special import (
     JacobiParams,
-    gegenbauer_eval,
     jacobi_eval,
     jacobi_log_endpoint,
     jacobi_sweep,
@@ -157,33 +156,37 @@ class TestHyp2F1:
             hyp2f1_terminating(3, 1.0, -2.0, 0.5)
 
 
+def gegenbauer_via_jacobi(n, lam, x):
+    """C_n^lam(x) from P_n^(mu,mu)(x), mu = lam - 1/2:
+    P_n^(mu,mu) = 2^(2mu) G(mu+1/2) G(n+mu+1) / (sqrt(pi) G(n+2mu+1)) C_n^(mu+1/2).
+    """
+    mu = lam - 0.5
+    log_ratio = (2.0 * mu * math.log(2.0) + log_gamma(mu + 0.5) + log_gamma(n + mu + 1.0)
+                 - 0.5 * math.log(math.pi) - log_gamma(n + 2.0 * mu + 1.0))
+    return jacobi_eval(n, JacobiParams(mu, mu), x) / math.exp(log_ratio)
+
+
 class TestGegenbauer:
+    """jacobi_eval at alpha = beta, through the Gegenbauer link."""
+
     def test_trivial(self):
-        assert gegenbauer_eval(0, 0.75, 0.2) == 1.0
-        assert rel(gegenbauer_eval(1, 0.75, 0.2), 0.3) <= 1e-15
+        assert rel(gegenbauer_via_jacobi(0, 0.75, 0.2), 1.0) <= 1e-15
+        assert rel(gegenbauer_via_jacobi(1, 0.75, 0.2), 0.3) <= 1e-15
 
     def test_frozen_value(self):
-        assert rel(gegenbauer_eval(4, 4.2, 0.6), -2.33915136) <= 1e-12
+        assert rel(gegenbauer_via_jacobi(4, 4.2, 0.6), -2.33915136) <= 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 3.7])
     def test_jacobi_link(self, mu):
-        # P_n^(mu,mu)(x) = 2^(2mu) G(mu+1/2) G(n+mu+1) / (sqrt(pi) G(n+2mu+1)) C_n^(mu+1/2)(x)
         for n in range(11):
             for x in (-0.85, -0.2, 0.3, 0.6, 0.95):
-                log_ratio = (
-                    2.0 * mu * math.log(2.0)
-                    + log_gamma(mu + 0.5)
-                    + log_gamma(n + mu + 1.0)
-                    - 0.5 * math.log(math.pi)
-                    - log_gamma(n + 2.0 * mu + 1.0)
-                )
-                lhs = jacobi_eval(n, JacobiParams(mu, mu), x)
-                rhs = math.exp(log_ratio) * gegenbauer_eval(n, mu + 0.5, x)
-                assert rel(lhs, rhs) <= 1e-12
+                want = float(mpmath.gegenbauer(n, mu + 0.5, x))
+                assert rel(gegenbauer_via_jacobi(n, mu + 0.5, x), want) <= 1e-12
 
     def test_domain(self):
+        # lam > -1/2 is the Jacobi domain alpha = beta > -1
         with pytest.raises(DomainError):
-            gegenbauer_eval(2, -0.5, 0.3)
+            gegenbauer_via_jacobi(2, -0.5, 0.3)
 
 
 class TestLaguerre:

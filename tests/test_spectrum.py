@@ -23,9 +23,7 @@ from sphere_osc.model import (
 from sphere_osc.spectrum import (
     MAX_LEVELS,
     energy,
-    energy_equal_omegas,
     energy_euclidean,
-    energy_omega2_zero,
     epsilon,
     spectrum_table,
 )
@@ -120,29 +118,32 @@ class TestSpecialCaseForms:
         for (N, w) in [(2, 1.0), (3, 4.0), (5, 0.5)]:
             p = OscillatorParams.from_couplings(N, w, w)
             for (n, L) in [(0, 0), (2, 1), (4, 3)]:
-                qn = QuantumNumbers(n, L)
-                assert rel(energy_equal_omegas(p, qn), energy(p, qn)) <= 1e-12
+                want = epsilon_product_equal_omegas(N, n, mu(p, L, 1), w) * p.energy_unit
+                assert rel(energy(p, QuantumNumbers(n, L)), want) <= 1e-12
 
     def test_equal_omegas_free_limit(self):
         p = OscillatorParams.from_couplings(3, 0.0, 0.0)
-        assert energy_equal_omegas(p, QuantumNumbers(2, 1)) == energy(p, QuantumNumbers(2, 1))
+        assert epsilon(p, QuantumNumbers(2, 1)) == epsilon_product_equal_omegas(3, 2, mu(p, 1, 1), 0.0) == 15
 
     def test_equal_omegas_rejects_asymmetric(self):
+        # the symmetric form at either coupling misses an asymmetric trap's level
         p = OscillatorParams.from_couplings(2, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            energy_equal_omegas(p, QuantumNumbers(0, 0))
+        for k, w in ((1, 1.0), (2, 0.5)):
+            want = epsilon_product_equal_omegas(2, 0, mu(p, 0, k), w)
+            assert rel(epsilon(p, QuantumNumbers(0, 0)), want) >= 0.1
 
     def test_omega2_zero_matches_general(self):
         for (N, w) in [(2, 1.0), (3, 4.0), (5, 10.0)]:
             p = OscillatorParams.from_couplings(N, w, 0.0)
             for (n, L) in [(0, 0), (1, 2), (3, 2), (3, 0)]:
-                qn = QuantumNumbers(n, L)
-                assert rel(energy_omega2_zero(p, qn), energy(p, qn)) <= 1e-12
+                want = epsilon_product_omega2_zero(N, n, L, mu(p, L, 1), w) * p.energy_unit
+                assert rel(energy(p, QuantumNumbers(n, L)), want) <= 1e-12
 
     def test_omega2_zero_large_coupling_case(self):
         p = OscillatorParams.from_couplings(5, 10.0, 0.0)
         qn = QuantumNumbers(3, 2)
-        assert rel(energy_omega2_zero(p, qn), energy(p, qn)) <= 1e-12
+        assert rel(epsilon(p, qn), epsilon_product_omega2_zero(5, 3, 2, mu(p, 2, 1), 10.0)) <= 1e-12
+        assert rel(epsilon(p, qn), mp_epsilon(5, 3, 2, 10.0, 0.0)) <= 1e-15
         fd = fd_eigensolve(p, 2, 4, 8000)[3]
         assert rel(fd, epsilon(p, qn)) <= 1e-6
 
@@ -156,15 +157,16 @@ class TestSpecialCaseForms:
             qn = QuantumNumbers(n, L)
             p = OscillatorParams.from_couplings(N, w, w)
             want = epsilon_product_equal_omegas(N, n, mu(p, L, 1), w) * p.energy_unit
-            assert rel(energy_equal_omegas(p, qn), want) <= 1e-12
+            assert rel(energy(p, qn), want) <= 1e-12
             p = OscillatorParams.from_couplings(N, w, 0.0)
             want = epsilon_product_omega2_zero(N, n, L, mu(p, L, 1), w) * p.energy_unit
-            assert rel(energy_omega2_zero(p, qn), want) <= 1e-12
+            assert rel(energy(p, qn), want) <= 1e-12
 
     def test_omega2_zero_rejects_nonzero(self):
+        # the single-trap form misses a level once omega2 is switched on
         p = OscillatorParams.from_couplings(2, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            energy_omega2_zero(p, QuantumNumbers(0, 0))
+        want = epsilon_product_omega2_zero(2, 0, 0, mu(p, 0, 1), 1.0)
+        assert rel(epsilon(p, QuantumNumbers(0, 0)), want) >= 0.01
 
     def test_free_particle_reduction_rate(self):
         # symmetric-trap levels approach the free levels like w^2
@@ -298,15 +300,12 @@ class TestUncertifiedLevels:
 
     def test_special_case_forms(self):
         with pytest.raises(RangeError):
-            energy_equal_omegas(OscillatorParams.from_couplings(3, 1e300, 1e300),
-                                QuantumNumbers(0, 0))
-        # the single-trap form forms no w^2, so w1 = 1e300 is a finite level
+            energy(OscillatorParams.from_couplings(3, 1e300, 1e300), QuantumNumbers(0, 0))
+        # with omega2 = 0 the level forms no w^2, so w1 = 1e300 is a finite level
         p = OscillatorParams.from_couplings(3, 1e300, 0.0)
-        qn = QuantumNumbers(0, 0)
-        assert rel(energy_omega2_zero(p, qn), energy(p, qn)) <= 1e-15
+        assert rel(epsilon(p, QuantumNumbers(0, 0)), mp_epsilon(3, 0, 0, p.w1, 0.0)) <= 1e-15
         with pytest.raises(RangeError):
-            energy_omega2_zero(OscillatorParams.from_couplings(3, 1e308, 0.0),
-                               QuantumNumbers(2, 0))
+            energy(OscillatorParams.from_couplings(3, 1e308, 0.0), QuantumNumbers(2, 0))
 
     def test_size_cap(self):
         n_max = MAX_LEVELS // 2 - 1

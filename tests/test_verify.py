@@ -13,7 +13,6 @@ from sphere_osc.eigenfunctions import (
     eval_F,
     eval_f_euclidean,
     project_to_plane,
-    project_to_plane_jacobi,
     r_from_theta,
     theta_from_r,
 )
@@ -22,9 +21,7 @@ from sphere_osc.model import EuclideanParams, OscillatorParams, QuantumNumbers, 
 from sphere_osc.special import JacobiParams, jacobi_eval, log_gamma
 from sphere_osc.spectrum import (
     energy,
-    energy_equal_omegas,
     energy_euclidean,
-    energy_omega2_zero,
     epsilon,
     spectrum_table,
 )
@@ -471,8 +468,6 @@ class TestInputValidation:
     @pytest.mark.parametrize("call, error", [
         (lambda: spectrum_table(W5_2, 1.5, 0), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, 2.5, 1000), DomainError),
-        (lambda: node_count(W5_2, QuantumNumbers(1, 0), grid_points=-5), DomainError),
-        (lambda: node_count(W5_2, QuantumNumbers(1, 0), grid_points=0), DomainError),
         (lambda: ode_residual(W5_2, QuantumNumbers(0, 0), [math.nan]), DomainError),
         (lambda: normalization_check(W2000, QuantumNumbers(0, 0)), RangeError),
         (lambda: verification_report(W2000, QuantumNumbers(0, 0)), RangeError),
@@ -480,7 +475,6 @@ class TestInputValidation:
         (lambda: fd_eigensolve(W5_2, 1.5, 2, 1000), DomainError),
         (lambda: energy_euclidean(FLAT, 0, 1.5), DomainError),
         (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
-        (lambda: project_to_plane_jacobi(W5_2, QuantumNumbers(1, 1), math.inf), DomainError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 1.5, 0.5), DomainError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 0.0, 0.0), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, 1, MAX_GRID_POINTS + 1), DomainError),
@@ -491,10 +485,11 @@ class TestInputValidation:
         (lambda: epsilon(W5_2, QuantumNumbers(0, HUGE)), RangeError),
         (lambda: energy(W5_2, QuantumNumbers(HUGE, 0)), RangeError),
         (lambda: energy(W5_2, QuantumNumbers(0, HUGE)), RangeError),
-        (lambda: energy_equal_omegas(W2_2, QuantumNumbers(HUGE, 0)), RangeError),
-        (lambda: energy_equal_omegas(W2_2, QuantumNumbers(0, HUGE)), RangeError),
-        (lambda: energy_omega2_zero(W5_0, QuantumNumbers(HUGE, 0)), RangeError),
-        (lambda: energy_omega2_zero(W5_0, QuantumNumbers(0, HUGE)), RangeError),
+        # energy on the traps of the equal-omega and omega2 = 0 special cases
+        (lambda: energy(W2_2, QuantumNumbers(HUGE, 0)), RangeError),
+        (lambda: energy(W2_2, QuantumNumbers(0, HUGE)), RangeError),
+        (lambda: energy(W5_0, QuantumNumbers(HUGE, 0)), RangeError),
+        (lambda: energy(W5_0, QuantumNumbers(0, HUGE)), RangeError),
         (lambda: eval_F(W5_2, QuantumNumbers(HUGE, 0), 1.0), RangeError),
         (lambda: eval_F(W5_2, QuantumNumbers(0, HUGE), 1.0), RangeError),
         (lambda: energy_euclidean(FLAT, HUGE, 0), RangeError),
@@ -506,11 +501,12 @@ class TestInputValidation:
         (lambda: eval_f_euclidean(FLAT, 0, 1, np.array([1.0, math.nan])), DomainError),
         (lambda: r_from_theta(1.0, np.array([0.5, math.nan])), DomainError),
         (lambda: theta_from_r(1.0, np.array([1.0, math.nan])), DomainError),
-    ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k", "node_count-negative-grid",
-            "node_count-empty-grid", "ode_residual-nan-grid", "normalization_check-w2000",
+        # a level count past 1e308 is inf as a float, not an OverflowError
+        (lambda: spectrum_table(W5_2, 10**200, 10**200), RangeError),
+    ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
+            "ode_residual-nan-grid", "normalization_check-w2000",
             "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
-            "energy_euclidean-float-L", "eval_f_euclidean-r-inf",
-            "project_to_plane_jacobi-r-inf", "gauss_jacobi_rule-nodes-cap",
+            "energy_euclidean-float-L", "eval_f_euclidean-r-inf", "gauss_jacobi_rule-nodes-cap",
             "gauss_jacobi_rule-nodes-cap-legendre",
             "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap",
             "verification_report-coarse-grid", "epsilon-huge-n", "epsilon-huge-L",
@@ -519,7 +515,8 @@ class TestInputValidation:
             "eval_F-huge-n", "eval_F-huge-L", "energy_euclidean-huge-n_r",
             "eval_f_euclidean-huge-n_r", "eval_F-array-negative-theta",
             "eval_f_euclidean-array-r-inf", "eval_F-array-nan", "project_to_plane-array-nan",
-            "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan"])
+            "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan",
+            "spectrum_table-huge-level-count"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
