@@ -45,9 +45,6 @@ _ODE_GRID = np.linspace(0.05, math.pi - 0.05, 101)
 # closer to pi than 4.4e-16.
 _ODE_THETA_MIN = 1.0e-120
 
-# Sign changes are counted on this many interior points of (0, pi).
-NODE_GRID_POINTS = 10_000
-
 # The reduced eigenfunction behaves like (distance)^p at a pole, p = mu + 1/2.
 # Pointwise sampling of the inverse-square potential converges like
 # h^(2p - 1) there.  The oracle Richardson-extrapolates two grids, so the
@@ -109,13 +106,13 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     come from its Christoffel function, w_i = mu0 / sum_j p_j(x_i)^2 with p_j
     the matrix's own recurrence (p_0 = 1), not from eigenvectors: the tiny
     weights of the eigenvector route carry relative errors up to 6e-3 at
-    alpha ~ 1000, the Christoffel ones 3e-12 against mpmath.  For
-    0 <= alpha, beta <= MAX_MU, sum(w) is within 3e-12 of the weight's mass
-    at 20 nodes and at MAX_QUAD_NODES; an exponent near -1 costs more there
-    (2e-8 with beta = -0.999 at MAX_QUAD_NODES).
+    alpha ~ 1000, the Christoffel ones 3e-12 against mpmath.  The exponents
+    lie in [0, MAX_MU], where sum(w) is within 3e-12 of the weight's mass at
+    20 nodes and at MAX_QUAD_NODES.
     """
     n = check_int("rule size", n, 1, MAX_QUAD_NODES)
-    JacobiParams(alpha, beta)  # alpha, beta finite and > -1
+    check_real("alpha", alpha, 0.0)
+    check_real("beta", beta, 0.0)
     # beyond MAX_MU the weight mass below can overflow
     check_envelope("alpha", alpha, eigenfunctions.MAX_MU)
     check_envelope("beta", beta, eigenfunctions.MAX_MU)
@@ -180,10 +177,11 @@ def _matched_rule(params: OscillatorParams, L: int, n_max: int):
     return rule, np.arccos(rule.nodes), _measure_log(params, rule.nodes, mu1, mu2)
 
 
-def _norm_integral(rule: QuadratureRule, log_abs: np.ndarray, sign: np.ndarray,
-                   measure_log: np.ndarray) -> float:
-    g = np.where(sign == 0.0, 0.0, np.exp(2.0 * log_abs + measure_log))
-    return float(rule.weights @ g)
+def _norms(params: OscillatorParams, L: int, n_max: int) -> list[float]:
+    """normalization_check of the states n_theta = 0..n_max at one L, on the n_max + 1 node rule."""
+    rule, theta, measure_log = _matched_rule(params, L, n_max)
+    return [float(rule.weights @ np.where(sign == 0.0, 0.0, np.exp(2.0 * log_abs + measure_log)))
+            for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
 
 
 def normalization_check(params: OscillatorParams, qn: QuantumNumbers) -> float:
@@ -192,9 +190,7 @@ def normalization_check(params: OscillatorParams, qn: QuantumNumbers) -> float:
     Change of variable x = cos(theta) with the n_theta + 1 node Gauss-Jacobi
     rule matched to the state's weight exponents (alpha = mu_L2, beta = mu_L1).
     """
-    rule, theta, measure_log = _matched_rule(params, qn.L, qn.n_theta)
-    log_abs, sign = eigenfunctions.log_abs_F_grid(params, qn, theta)
-    return _norm_integral(rule, log_abs, sign, measure_log)
+    return _norms(params, qn.L, qn.n_theta)[qn.n_theta]
 
 
 def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
@@ -329,19 +325,22 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     return vals
 
 
-def _node_grid() -> np.ndarray:
-    return np.linspace(0.0, math.pi, NODE_GRID_POINTS + 2)[1:-1]
+def _node_counts(params: OscillatorParams, L: int, n_max: int) -> list[int]:
+    """node_count of the states n_theta = 0..n_max at one L.
 
-
-def _sign_changes(vals: np.ndarray) -> int:
-    signs = np.sign(vals)
-    signs = signs[signs != 0.0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    The envelope is positive inside (0, pi), so F changes sign where its
+    polynomial factor does; the factor's zeros are skipped.  The grid is
+    built per call: as a module constant it raised the peak RSS of every
+    command that imports verify, `spectrum` too, by 0.2 MiB.
+    """
+    grid = np.linspace(0.0, math.pi, 10_002)[1:-1]
+    return [int(np.count_nonzero(np.diff(sign[sign != 0.0])))
+            for _, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, grid)]
 
 
 def node_count(params: OscillatorParams, qn: QuantumNumbers) -> int:
-    """Sign changes of the eigenfunction on NODE_GRID_POINTS points of the open interval (0, pi)."""
-    return _sign_changes(eigenfunctions.eval_F(params, qn, _node_grid()))
+    """Sign changes of the eigenfunction on 10 000 equispaced interior points of (0, pi)."""
+    return _node_counts(params, qn.L, qn.n_theta)[qn.n_theta]
 
 
 def loglog_slope(xs, ys) -> float:
@@ -385,25 +384,23 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     The FD oracle, the matched quadrature rule (exact with max(n_values) + 1
     nodes) and the Jacobi sweeps on the quadrature, node-count and residual
     grids are built once per block and shared by all n_theta; nothing is
-    evaluated per state.
+    evaluated per state, and normalization_check and node_count are rows of
+    the same helpers.
     The FD oracle is one Richardson step over the grids grid_points and
     grid_points // 2, which cancels the O(h^2) error of the single-grid
     eigenvalues.
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
-    # the mu envelope (in the matched rule) and finite levels are checked before the FD solve
-    rule, theta, measure_log = _matched_rule(params, L, n_max)
+    # the mu envelope (in _norms' matched rule) and finite levels are checked before the FD solve
+    norms = _norms(params, L, n_max)
     eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
                       * energy_factor) for n in n_values]
     fine, coarse = grid_points, grid_points // 2
     fd = ((fine**2 * fd_eigensolve(params, L, n_max + 1, fine)
            - coarse**2 * fd_eigensolve(params, L, n_max + 1, coarse))
           / (fine**2 - coarse**2))
-    norms = [_norm_integral(rule, log_abs, sign, measure_log)
-             for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
-    nodes = [_sign_changes(sign * np.exp(log_abs))
-             for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, _node_grid())]
+    nodes = _node_counts(params, L, n_max)
     residuals = _ode_residuals(params, L, n_values, eps, _ODE_GRID)
     return [VerificationReport(
         state=QuantumNumbers(n, L),

@@ -162,13 +162,13 @@ class TestNormalization:
         import sphere_osc.verify as vf
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
         qn = QuantumNumbers(1, 0)
-        original = ef.log_abs_F_grid
+        original = ef.log_abs_F_rows
 
-        def doubled(params, state, thetas):
-            log_abs, sign = original(params, state, thetas)
-            return log_abs + math.log(2.0), sign
+        def doubled(params, L, n_max, thetas, n_min=0):
+            for log_abs, sign in original(params, L, n_max, thetas, n_min):
+                yield log_abs + math.log(2.0), sign
 
-        monkeypatch.setattr(vf.eigenfunctions, "log_abs_F_grid", doubled)
+        monkeypatch.setattr(vf.eigenfunctions, "log_abs_F_rows", doubled)
         assert rel(normalization_check(p, qn), 4.0) <= 1e-10
 
 
@@ -356,6 +356,26 @@ class TestNodeCount:
         for n in range(5):
             assert node_count(p, QuantumNumbers(n, 2)) == n
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_degree_shift_flagged(self, monkeypatch, k):
+        # row n carries the state of degree n + k; counted on the n_theta + 1
+        # matched-rule nodes, k = 1 went unflagged in every single-state report
+        import sphere_osc.eigenfunctions as ef
+        original = ef.log_abs_F_rows
+
+        def shifted(params, L, n_max, thetas, n_min=0):
+            yield from original(params, L, n_max + k, thetas, n_min + k)
+
+        monkeypatch.setattr(ef, "log_abs_F_rows", shifted)
+        p = OscillatorParams.from_couplings(3, 5.0, 2.0)
+        for L in range(9):
+            reports = _verify_block(p, L, range(9), 1000, 1.0)
+            assert not any(rep.node_count_match for rep in reports), f"L={L}"
+        for n in range(9):
+            qn = QuantumNumbers(n, 0)
+            assert not verification_report(p, qn).node_count_match, f"n={n}"
+            assert node_count(p, qn) == n + k
+
 
 class TestEuclideanScan:
     def test_errors_decrease_with_slope(self):
@@ -402,12 +422,16 @@ class TestGammaRatioLimit:
 class TestVerificationReport:
     def test_healthy_state(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        rep = verification_report(p, QuantumNumbers(1, 0), grid_points=4000)
+        qn = QuantumNumbers(1, 0)
+        rep = verification_report(p, qn, grid_points=4000)
         assert rep.normalization_error <= 1e-10
         assert rep.max_ode_residual <= 1e-8
         assert rep.oracle_energy_relerr <= 4e-6  # 4000-point oracle
         assert rep.node_count_match
         assert not rep.passed or rep.oracle_energy_relerr <= 1e-6
+        # the one-state checks take the report's route, bit for bit
+        assert abs(normalization_check(p, qn) - 1.0) == rep.normalization_error
+        assert (node_count(p, qn) == qn.n_theta) == rep.node_count_match
 
     def test_perturbation_flags(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
@@ -472,6 +496,8 @@ class TestInputValidation:
         (lambda: normalization_check(W2000, QuantumNumbers(0, 0)), RangeError),
         (lambda: verification_report(W2000, QuantumNumbers(0, 0)), RangeError),
         (lambda: gauss_jacobi_rule(200, 2.0, 2000.0), RangeError),
+        # the package's exponents are mu >= 0; near -1 the weight mass lost accuracy
+        (lambda: gauss_jacobi_rule(200, -0.5, 2.0), DomainError),
         (lambda: fd_eigensolve(W5_2, 1.5, 2, 1000), DomainError),
         (lambda: energy_euclidean(FLAT, 0, 1.5), DomainError),
         (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
@@ -505,7 +531,8 @@ class TestInputValidation:
         (lambda: spectrum_table(W5_2, 10**200, 10**200), RangeError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
             "ode_residual-nan-grid", "normalization_check-w2000",
-            "verification_report-w2000", "gauss_jacobi_rule-beta2000", "fd_eigensolve-float-L",
+            "verification_report-w2000", "gauss_jacobi_rule-beta2000",
+            "gauss_jacobi_rule-negative-alpha", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf", "gauss_jacobi_rule-nodes-cap",
             "gauss_jacobi_rule-nodes-cap-legendre",
             "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap",
