@@ -9,7 +9,9 @@ bytes.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,11 +29,11 @@ EXIT_DOMAIN = 3
 
 _PHYSICAL_FLAGS = ("omega1", "omega2", "radius", "mass", "hbar")
 
-# Largest `wavefunction --grid`: the CLI builds every theta node and row in memory.
+# Largest `wavefunction --grid`: the CLI holds the theta nodes and each column
+# as arrays; rows are formatted only a chunk at a time.
 MAX_WAVEFUNCTION_GRID = 10**6
-# Largest `--format json` table of `spectrum` and `wavefunction`: json.dumps holds
-# a dict per row, so 250 000 rows peak near the 10^6 rows of a CSV table.
-MAX_JSON_ROWS = 250_000
+# Rows formatted per write, so memory holds one chunk of text, not the table.
+_CHUNK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -48,33 +50,33 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit(config: dict, header: list[str], rows: list[tuple], out: str | None, fmt: str):
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
+def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
+    """Write the table to --out, or to sys.stdout as found at the call, in chunks of rows."""
+    if fmt == "json":
         import json
 
-        payload = {
-            "config": config,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
-
-
-def _check_json_rows(args, rows: int):
-    if args.format == "json":
-        check_int("JSON rows", rows, 1, MAX_JSON_ROWS)
+        head, tail = json.dumps({"config": config, "rows": [None]}, indent=2).rsplit("null", 1)
+    try:
+        fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
+        with contextlib.nullcontext(fh) if out is None else fh:
+            fh.write(",".join(header) + "\n" if fmt == "csv" else head.rstrip(" "))
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                cells = (col[start:start + _CHUNK_ROWS] for col in columns)
+                rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells))
+                if fmt == "csv":
+                    fh.write("".join(",".join(map(_fmt_cell, row)) + "\n" for row in rows))
+                else:  # the chunk's items, without "[" and "]", indented to sit inside "rows"
+                    text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)[2:-2]
+                    fh.write((",\n  " if start else "  ") + text.replace("\n", "\n  "))
+            fh.write("" if fmt == "csv" else tail + "\n")
+            fh.flush()
+    except OSError as exc:
+        if out is None:  # the bytes still buffered would fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):  # the reader left early; keep the exit code
+                return
+        target = "stdout" if out is None else f"--out {out}"
+        raise UsageError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -139,12 +141,10 @@ def _cmd_spectrum(args) -> int:
     params, config = _resolve_params(args)
     if args.nmax < 0 or args.lmax < 0:
         raise UsageError("--nmax and --lmax must be >= 0")
-    _check_json_rows(args, (args.nmax + 1) * (args.lmax + 1))
     config = {"command": "spectrum", **config, "nmax": args.nmax, "lmax": args.lmax,
               "format": args.format}
     table = spectrum_mod.spectrum_table(params, args.nmax, args.lmax)
-    rows = list(zip(*(col.tolist() for col in table)))
-    _emit(config, ["n_theta", "L", "epsilon", "energy"], rows, args.out, args.format)
+    _emit(config, ["n_theta", "L", "epsilon", "energy"], table, args.out, args.format)
     return EXIT_OK
 
 
@@ -153,7 +153,6 @@ def _cmd_wavefunction(args) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
     check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
-    _check_json_rows(args, args.grid)
     qn = QuantumNumbers(args.ntheta, args.l)
     config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
               "grid": args.grid, "projected": bool(args.projected), "format": args.format}
@@ -162,9 +161,7 @@ def _cmd_wavefunction(args) -> int:
     if args.projected:
         r = r_from_theta(params.R, thetas)
         columns, header = [r, conformal_factor(params, r) * columns[1]], ["r", "f"]
-    rows = list(zip(*(col.tolist() for col in columns)))
-    del columns, thetas  # at the grid cap the arrays would add to the peak memory of _emit
-    _emit(config, header, rows, args.out, args.format)
+    _emit(config, header, columns, args.out, args.format)
     return EXIT_OK
 
 
@@ -191,7 +188,7 @@ def _cmd_verify(args) -> int:
              rep.oracle_energy_relerr, rep.node_count_match, rep.passed) for rep in reports]
     header = ["n_theta", "L", "normalization_error", "max_ode_residual",
               "oracle_energy_relerr", "node_count_match", "ok"]
-    _emit(config, header, rows, args.out, args.format)
+    _emit(config, header, list(zip(*rows)), args.out, args.format)
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VERIFICATION
 
 
@@ -212,16 +209,15 @@ def _cmd_euclid_limit(args) -> int:
               "nr": qn.n_theta, "l": qn.L, "radii": radii, "format": args.format}
 
     table = verify_mod.euclidean_limit_scan(eparams, qn, radii)
-    e_errs = [row[1] for row in table]
-    w_errs = [row[2] for row in table]
+    R, e_errs, w_errs = (list(col) for col in zip(*table))
     slope_e = verify_mod.loglog_slope(radii, e_errs)
     slope_w = verify_mod.loglog_slope(radii, w_errs)
 
-    rows: list[tuple] = [(r, e, w, None) for r, e, w in table]
-    rows.append(("slope:energy_error", None, None, slope_e))
-    rows.append(("slope:wavefunction_error", None, None, slope_w))
+    # the fitted slopes follow as two trailer rows
+    columns = [R + ["slope:energy_error", "slope:wavefunction_error"], e_errs + [None, None],
+               w_errs + [None, None], [None] * len(R) + [slope_e, slope_w]]
     header = ["R", "energy_error", "wavefunction_error", "fitted_slope"]
-    _emit(config, header, rows, args.out, args.format)
+    _emit(config, header, columns, args.out, args.format)
 
     monotone = all(b < a for a, b in zip(e_errs, e_errs[1:])) and \
         all(b < a for a, b in zip(w_errs, w_errs[1:]))

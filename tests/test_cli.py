@@ -63,6 +63,11 @@ class TestSpectrumCommand:
          "4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73"),
         ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12 --format json",
          "62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1"),
+        # JSON tables of several write chunks (cli._CHUNK_ROWS rows each)
+        ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 20000 --projected --format json",
+         "efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9"),
+        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json",
+         "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
     ])
     def test_stdout_sha256(self, args, digest):
         res = subprocess.run(CLI + args.split(), capture_output=True)
@@ -105,6 +110,16 @@ class TestSpectrumCommand:
                        "--out", str(out)])
         assert res.returncode == 0
         assert out.read_text() == (GOLDEN / "spectrum_dim2_free.csv").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_equals_stdout(self, tmp_path, fmt):
+        args = ["spectrum", "--dim", "3", "--w1", "5", "--w2", "2", "--nmax", "120",
+                "--lmax", "120", "--format", fmt]
+        assert 121 * 121 > 3 * cli._CHUNK_ROWS
+        out = tmp_path / f"table.{fmt}"
+        res = subprocess.run(CLI + args + ["--out", str(out)], capture_output=True)
+        assert res.returncode == 0 and res.stdout == b""
+        assert out.read_bytes() == subprocess.run(CLI + args, capture_output=True).stdout
 
     def test_physical_parameter_group(self):
         # omega1 chosen so w1 = 2 at R = 1, m = hbar = 1
@@ -249,9 +264,6 @@ class TestExitCodes:
         # size caps, checked before anything is allocated
         "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",
         "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
-        # JSON tables hold a dict per row: at most MAX_JSON_ROWS
-        "spectrum --dim 3 --w1 5 --w2 2 --nmax 499 --lmax 999 --format json",
-        "wavefunction --dim 3 --w1 5 --w2 2 --grid 250001 --format json",
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 10000000000000000000000",
         # the oracle's coarse grid, --grid-points // 2, must keep the 500-point floor
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 999",
@@ -272,6 +284,40 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "usage error: cannot write --out" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_full_device_is_usage_error(self, to_stdout):
+        args = CLI + ["spectrum", "--dim", "3"]
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(args if to_stdout else args + ["--out", "/dev/full"],
+                                 stdout=full if to_stdout else None,
+                                 stderr=subprocess.PIPE, text=True)
+        assert res.returncode == 2
+        target = "stdout" if to_stdout else "--out /dev/full"
+        assert res.stderr == f"usage error: cannot write {target}: No space left on device\n"
+
+    # both tables are larger than a pipe's buffer, so writes go on after the reader left
+    @pytest.mark.parametrize("args, code", [
+        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", 0),
+        # the command's own exit code survives the closed pipe
+        ("verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 99 --grid-points 1000 "
+         "--perturb-energy 1e-3", 1),
+    ])
+    def test_closed_stdout_is_quiet(self, args, code):
+        proc = subprocess.Popen(CLI + args.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == code
+        assert err == b""
+
+    def test_json_above_the_former_row_cap(self, tmp_path):
+        out = tmp_path / "grid.json"
+        res = run_cli(["wavefunction", "--dim", "3", "--w1", "5", "--w2", "2",
+                       "--grid", "250001", "--format", "json", "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        assert len(json.loads(out.read_text())["rows"]) == 250_001
 
 
 # Runs in a fresh interpreter so modules imported by other tests do not count.
