@@ -4,77 +4,43 @@ The closed forms (energies, normalized quasi-radial eigenfunctions, their
 flat-space limits) live alongside the independent numerical machinery that
 verifies them: Gauss-Jacobi quadrature, a finite-difference eigensolver,
 and differential-equation residual checks.
+
+Each public name loads its submodule on first use (PEP 562), so
+``import sphere_osc`` imports no numpy.
 """
 
-from .errors import DomainError, RangeError
-from .model import (
-    EuclideanParams,
-    OscillatorParams,
-    QuantumNumbers,
-    big_lambda,
-    finite_radius_params,
-    mu,
-    potential_theta,
-)
-from .spectrum import (
-    SpectrumTable,
-    energy,
-    energy_euclidean,
-    epsilon,
-    spectrum_table,
-)
-from .eigenfunctions import (
-    eval_F,
-    eval_f_euclidean,
-    project_to_plane,
-    r_from_theta,
-    theta_from_r,
-)
-from .verify import (
-    DiscretizedOperator,
-    QuadratureRule,
-    VerificationReport,
-    euclidean_limit_scan,
-    fd_eigensolve,
-    gauss_jacobi_rule,
-    node_count,
-    normalization_check,
-    ode_residual,
-    overlap_matrix,
-    verification_report,
-)
+from importlib import import_module
 
-__all__ = [
-    "DomainError",
-    "RangeError",
-    "OscillatorParams",
-    "QuantumNumbers",
-    "EuclideanParams",
-    "mu",
-    "potential_theta",
-    "big_lambda",
-    "finite_radius_params",
-    "SpectrumTable",
-    "epsilon",
-    "energy",
-    "energy_euclidean",
-    "spectrum_table",
-    "eval_F",
-    "eval_f_euclidean",
-    "r_from_theta",
-    "theta_from_r",
-    "project_to_plane",
-    "QuadratureRule",
-    "DiscretizedOperator",
-    "VerificationReport",
-    "gauss_jacobi_rule",
-    "normalization_check",
-    "overlap_matrix",
-    "ode_residual",
-    "fd_eigensolve",
-    "node_count",
-    "euclidean_limit_scan",
-    "verification_report",
-]
+# public name -> submodule that defines it
+_SUBMODULE = {
+    "DomainError": "errors", "RangeError": "errors",
+    "OscillatorParams": "model", "QuantumNumbers": "model", "EuclideanParams": "model",
+    "mu": "model", "potential_theta": "model", "big_lambda": "model",
+    "finite_radius_params": "model",
+    "SpectrumTable": "spectrum", "epsilon": "spectrum", "energy": "spectrum",
+    "energy_euclidean": "spectrum", "spectrum_table": "spectrum",
+    "eval_F": "eigenfunctions", "eval_f_euclidean": "eigenfunctions",
+    "r_from_theta": "eigenfunctions", "theta_from_r": "eigenfunctions",
+    "project_to_plane": "eigenfunctions",
+    "QuadratureRule": "verify", "DiscretizedOperator": "verify", "VerificationReport": "verify",
+    "gauss_jacobi_rule": "verify", "normalization_check": "verify", "overlap_matrix": "verify",
+    "ode_residual": "verify", "fd_eigensolve": "verify", "node_count": "verify",
+    "euclidean_limit_scan": "verify", "verification_report": "verify",
+}
+
+__all__ = list(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{submodule}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,11 @@ import math
 import os
 import sys
 
+# Nothing the CLI runs uses threaded BLAS, yet an idle OpenBLAS pool spins on every core.
+# OpenBLAS reads this variable over OMP_NUM_THREADS, so it is left alone when that is set.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import spectrum as spectrum_mod
@@ -179,6 +184,7 @@ def _cmd_verify(args) -> int:
     check_int("--grid-points", args.grid_points, 2 * verify_mod.MIN_GRID_POINTS,
               verify_mod.MAX_GRID_POINTS)
     checked_mu(params, args.lmax)
+    import scipy.linalg  # the oracles' solver, loaded once here rather than inside the first rule
 
     n_values = list(range(args.levels + 1))
     reports = [rep for L in range(args.lmax + 1)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -347,6 +348,78 @@ assert "scipy.linalg" in scipy_loaded()
 def test_scipy_loads_only_for_verify():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+_REJECTED_VERIFY_PROBE = """
+import contextlib, io, sys
+from sphere_osc.cli import main
+
+with contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["verify", "--dim", "3", "--levels", "-1"]),
+             main(["verify", "--dim", "3", "--grid-points", "10"]),
+             main(["verify", "--dim", "3", "--w1", "999", "--lmax", "100000"])]
+assert codes == [2, 3, 3], codes
+assert "scipy" not in sys.modules
+"""
+
+
+def test_rejected_verify_loads_no_scipy():
+    res = subprocess.run([sys.executable, "-c", _REJECTED_VERIFY_PROBE], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def _env_without_thread_vars(**extra):
+    # in-process tests import cli, which sets OPENBLAS_NUM_THREADS in this very environment
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("code, extra, expected", [
+    ("import sphere_osc.cli", {}, "1"),
+    ("import sphere_osc.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ("import sphere_osc.cli", {"OMP_NUM_THREADS": "2"}, "None"),
+    ("import sphere_osc; sphere_osc.eval_F", {}, "None"),
+], ids=["cli-default", "explicit-kept", "omp-kept", "library-untouched"])
+def test_openblas_thread_default(code, extra, expected):
+    probe = f"{code}; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    res = subprocess.run([sys.executable, "-c", probe], env=_env_without_thread_vars(**extra),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == expected
+
+
+_POOL_PROBE = """
+import ctypes, sys
+import sphere_osc.cli
+lib = ctypes.CDLL(sys.argv[1])
+lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+lib.scipy_openblas_get_num_threads64_.argtypes = []
+print(lib.scipy_openblas_get_num_threads64_())
+"""
+
+
+def test_openblas_pool_has_one_thread():
+    import ctypes
+
+    import numpy
+
+    libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs or not hasattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy does not bundle a scipy-openblas64 library")
+    res = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(libs[0])],
+                         env=_env_without_thread_vars(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "1"
+
+
+def test_golden_with_explicit_threads():
+    res = subprocess.run(CLI + ["verify", "--dim", "3", "--w1", "5", "--w2", "2",
+                                "--levels", "4", "--lmax", "2"],
+                         env=_env_without_thread_vars(OPENBLAS_NUM_THREADS="2"),
+                         capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / "verify_dim3_w5_2.csv").read_bytes()
 
 
 def test_console_script_entry(monkeypatch, capsys):
