@@ -56,24 +56,30 @@ def _fmt_cell(v) -> str:
 
 
 def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
-    """Write the table to --out, or to sys.stdout as found at the call, in chunks of rows."""
-    if fmt == "json":
+    """Write the table to --out, or to sys.stdout as found at the call, in chunks of rows.
+
+    A format is a head, a row template with one `%` slot per column, a separator and a tail.
+    """
+    if fmt == "csv":
+        head, row, sep, tail = ",".join(header) + "\n", ",".join(["{}"] * len(header)) + "\n", "", ""
+        number, cell = "%.17g", _fmt_cell
+    else:  # rows in json's indent=2 layout; %r writes ints and finite floats as json does
         import json
 
         head, tail = json.dumps({"config": config, "rows": [None]}, indent=2).rsplit("null", 1)
+        row = "{{" + ",".join(f"\n      {json.dumps(key)}: {{}}" for key in header) + "\n    }}"
+        sep, tail, number, cell = ",\n    ", tail + "\n", "%r", json.dumps
+    # an array's slot takes `number` over its values, a list's takes `%s` over its cells
+    row = row.format(*(number if isinstance(col, np.ndarray) else "%s" for col in columns))
     try:
         fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
         with contextlib.nullcontext(fh) if out is None else fh:
-            fh.write(",".join(header) + "\n" if fmt == "csv" else head.rstrip(" "))
+            fh.write(head)
             for start in range(0, len(columns[0]), _CHUNK_ROWS):
                 cells = (col[start:start + _CHUNK_ROWS] for col in columns)
-                rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cells))
-                if fmt == "csv":
-                    fh.write("".join(",".join(map(_fmt_cell, row)) + "\n" for row in rows))
-                else:  # the chunk's items, without "[" and "]", indented to sit inside "rows"
-                    text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)[2:-2]
-                    fh.write((",\n  " if start else "  ") + text.replace("\n", "\n  "))
-            fh.write("" if fmt == "csv" else tail + "\n")
+                cells = (c.tolist() if isinstance(c, np.ndarray) else map(cell, c) for c in cells)
+                fh.write((sep if start else "") + sep.join(row % r for r in zip(*cells)))
+            fh.write(tail)
             fh.flush()
     except OSError as exc:
         if out is None:  # the bytes still buffered would fail again at exit

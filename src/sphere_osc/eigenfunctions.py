@@ -63,12 +63,8 @@ def _log_prefactor_halfangle(params: OscillatorParams, qn: QuantumNumbers):
 
 
 def _endpoint_value(exponent: float, log_rest: float, sign: float) -> float:
-    """Value of C * t^exponent as t -> 0+ with C = sign * exp(log_rest)."""
-    if exponent > 0.0:
-        return 0.0
-    if exponent == 0.0:
-        return sign * math.exp(log_rest)
-    return math.copysign(math.inf, sign)
+    """Value of C * t^exponent as t -> 0+ with C = sign * exp(log_rest); every exponent is >= 0."""
+    return 0.0 if exponent > 0.0 else sign * np.exp(log_rest)
 
 
 def _points(name: str, x, lo: float, hi: float) -> np.ndarray:
@@ -88,8 +84,8 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta):
     """Normalized quasi-radial eigenfunction, half-angle power form, at a scalar or array theta.
 
     At the poles the value follows the endpoint exponents: zero for a
-    positive exponent, the finite limit for a vanishing one, and a signed
-    infinity indicator (never an exception) for a negative one.
+    positive exponent, the finite limit for a vanishing one.  A value that
+    overflows the double range raises RangeError.
     """
     th = _points("theta", theta, 0.0, math.pi)
     log_norm, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
@@ -97,11 +93,13 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta):
     log_p1 = special.jacobi_log_endpoint(n, JacobiParams(mu2, mu1))
     log_pm1 = special.jacobi_log_endpoint(n, JacobiParams(mu1, mu2))
     north = 0.5 * th == 0.0  # sin(theta/2) = 0: the pole, and the least subnormal theta
-    values = np.where(north, _endpoint_value(e0, log_norm + log_p1, 1.0),
-                      _endpoint_value(e1, log_norm + log_pm1, (-1.0) ** n))
-    interior = ~north & (th < math.pi)
-    log_abs, sign = log_abs_F_grid(params, qn, th[interior])
-    values[interior] = sign * np.exp(log_abs)
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        values = np.where(north, _endpoint_value(e0, log_norm + log_p1, 1.0),
+                          _endpoint_value(e1, log_norm + log_pm1, (-1.0) ** n))
+        interior = ~north & (th < math.pi)
+        log_abs, sign = log_abs_F_grid(params, qn, th[interior])
+        values[interior] = sign * np.exp(log_abs)
+    check_envelope("F", np.abs(values).max(initial=0.0), np.finfo(float).max)
     return _like(values, theta)
 
 
@@ -179,13 +177,14 @@ def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
     lg = special.log_gamma
     log_norm = 0.5 * (_LOG2 + lg(n_r + 1.0) - lg(n_r + lam + 1.5)) + 0.25 * eparams.N * math.log(scale)
     e = 0.5 * lam - 0.25 * eparams.N + 0.75
-    with np.errstate(over="ignore"):  # x = inf far out, where f is 0
-        x = scale * rs * rs
     log_poly0 = lg(n_r + lam + 1.5) - lg(n_r + 1.0) - lg(lam + 1.5)  # L_n^(lam+1/2)(0), as log
-    values = np.where(x > 0.0, 0.0, _endpoint_value(e, log_norm + log_poly0, 1.0))
-    live = np.flatnonzero((x > 0.0) & (x < math.inf))
-    envelope = np.exp(log_norm + e * np.log(x[live]) - 0.5 * x[live])
+    with np.errstate(over="ignore"):  # x = inf far out, where f is 0; an overflowing f is rejected
+        x = scale * rs * rs
+        values = np.where(x > 0.0, 0.0, _endpoint_value(e, log_norm + log_poly0, 1.0))
+        live = np.flatnonzero((x > 0.0) & (x < math.inf))
+        envelope = np.exp(log_norm + e * np.log(x[live]) - 0.5 * x[live])
     # where the envelope underflows to 0 the Laguerre factor may overflow: f is 0 there
     live, envelope = live[envelope > 0.0], envelope[envelope > 0.0]
     values[live] = envelope * special.laguerre_eval(n_r, lam + 0.5, x[live])
+    check_envelope("f", np.abs(values).max(initial=0.0), np.finfo(float).max)
     return _like(values, r)

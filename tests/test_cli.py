@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracle_forms import mp_epsilon
@@ -69,6 +72,11 @@ class TestSpectrumCommand:
          "efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9"),
         ("spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json",
          "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
+        # list columns (ints, floats, bools, None, strings) rather than arrays
+        ("verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2 --format json",
+         "18568c87c08a778955c09208e204c51037250fb4050c1b04beb07ce650c6461c"),
+        ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
+         "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
     ])
     def test_stdout_sha256(self, args, digest):
         res = subprocess.run(CLI + args.split(), capture_output=True)
@@ -273,11 +281,17 @@ class TestExitCodes:
         "verify --dim 3 --w1 5 --w2 2 --levels 100000000000 --lmax 0",
         # mu at --lmax is outside MAX_MU: rejected before the first L block
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 5000",
+        # the eigenfunction overflows: its finite limit at the pole (a traceback before),
+        # for euclid-limit at R = 1e-150, and inside (0, pi) (inf rows and exit 0 before)
+        "wavefunction --dim 400 --radius 1e-100 --grid 3",
+        "euclid-limit --dim 10 --chi 1.5 --radii 1e-150,1,2",
+        "wavefunction --dim 400 --radius 1e-100 --omega1 1e200 --omega2 1e200 --grid 3",
     ])
     def test_rejected_input_exits_3(self, args):
         res = run_cli(args.split())
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
+        assert res.stdout == "" and res.stderr.count("\n") == 1
 
     def test_unwritable_out_is_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"
@@ -319,6 +333,42 @@ class TestExitCodes:
                        "--grid", "250001", "--format", "json", "--out", str(out)])
         assert res.returncode == 0, res.stderr
         assert len(json.loads(out.read_text())["rows"]) == 250_001
+
+
+def _per_cell(v):
+    """A CSV cell as the writer formatted it one cell at a time, kept as the oracle."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+@pytest.mark.parametrize("n", [1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_matches_per_cell_and_dict_routes(n, fmt):
+    floats = [-0.0, 5e-324, 1e308, 0.1, -2.5, 3.0]
+    columns = [
+        np.arange(n) * 7 - 3,
+        np.resize(np.array(floats), n),
+        [i % 3 == 0 for i in range(n)],
+        [None if i % 2 else floats[i % 6] for i in range(n)],
+        ['say "hi"' if i % 4 == 1 else i for i in range(n)],
+    ]
+    header = ["i", "x", "flag", "maybe", "label"]
+    config = {"command": "test", "radii": [1.5, 3.0], "format": fmt}
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    if fmt == "csv":
+        want = ",".join(header) + "\n" + "".join(",".join(map(_per_cell, r)) + "\n" for r in rows)
+    else:
+        payload = {"config": config, "rows": [dict(zip(header, r)) for r in rows]}
+        want = json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(config, header, columns, None, fmt)
+    assert buf.getvalue() == want
+    if fmt == "json":
+        assert json.loads(buf.getvalue())["rows"][-1] == dict(zip(header, rows[-1]))
 
 
 # Runs in a fresh interpreter so modules imported by other tests do not count.

@@ -54,6 +54,10 @@ def _argv(draw):
 @given(_argv())
 @example(["verify", "--dim=3", "--w1=5", "--w2=2", "--levels=1", "--lmax=1",
           "--perturb-energy=1e308"])
+# the eigenfunction overflows: at the pole's finite limit, and inside (0, pi)
+@example(["wavefunction", "--dim=400", "--radius=1e-100", "--grid=3"])
+@example(["wavefunction", "--dim=400", "--radius=1e-100", "--omega1=1e200", "--omega2=1e200",
+          "--grid=3"])
 def test_exit_code_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

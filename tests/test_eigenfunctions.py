@@ -78,6 +78,17 @@ class TestHalfAngleForm:
         with pytest.raises(RangeError):
             eval_F(p, QuantumNumbers(0, 0), 1.0)
 
+    @pytest.mark.parametrize("omega, theta", [
+        # the zero sin(theta/2) exponent's finite limit at the pole overflows
+        (0.0, [0.0, HALF_PI]),
+        # exp(log|F|) overflows inside (0, pi)
+        (1e200, [HALF_PI]),
+    ])
+    def test_overflow_rejected(self, omega, theta):
+        p = OscillatorParams(N=400, R=1e-100, omega1=omega, omega2=omega)
+        with pytest.raises(RangeError):
+            eval_F(p, QuantumNumbers(0, 0), np.array(theta))
+
     def test_theta_domain(self):
         p = OscillatorParams(N=2)
         with pytest.raises(DomainError):
@@ -303,6 +314,11 @@ class TestEuclideanRadial:
         ep = EuclideanParams(N=3, omega=1.0, chi=1.5)
         assert eval_f_euclidean(ep, 0, 0, 1e200) == 0.0
         assert eval_f_euclidean(ep, 2, 0, 1e80) == 0.0
+
+    def test_overflow_rejected(self):
+        # (m omega / hbar)^(N/4) in the normalization overflows, where it used to warn
+        with pytest.raises(RangeError):
+            eval_f_euclidean(EuclideanParams(N=50, omega=1e300, chi=1.5), 0, 0, 1e-151)
 
     def test_r_zero(self):
         ep = EuclideanParams(N=3, omega=1.0, chi=0.5)
