@@ -181,20 +181,16 @@ def _cmd_verify(args) -> int:
     if args.levels < 0 or args.lmax < 0:
         raise UsageError("--levels and --lmax must be >= 0")
     config = {"command": "verify", **config, "levels": args.levels, "lmax": args.lmax,
-              "grid_points": args.grid_points, "perturb_energy": args.perturb_energy,
-              "format": args.format}
+              "perturb_energy": args.perturb_energy, "format": args.format}
     factor = 1.0 + args.perturb_energy
     # the caps and the mu envelope (mu grows with L) are checked before the first block
     check_int("--levels", args.levels, hi=verify_mod.MAX_FD_LEVELS - 1)
-    # the FD oracle also solves on the grid --grid-points // 2, which must keep the floor
-    check_int("--grid-points", args.grid_points, 2 * verify_mod.MIN_GRID_POINTS,
-              verify_mod.MAX_GRID_POINTS)
     checked_mu(params, args.lmax)
     import scipy.linalg  # the oracles' solver, loaded once here rather than inside the first rule
 
     n_values = list(range(args.levels + 1))
     reports = [rep for L in range(args.lmax + 1)
-               for rep in verify_mod._verify_block(params, L, n_values, args.grid_points, factor)]
+               for rep in verify_mod._verify_block(params, L, n_values, factor)]
 
     rows = [(rep.state.n_theta, rep.state.L, rep.normalization_error, rep.max_ode_residual,
              rep.oracle_energy_relerr, rep.node_count_match, rep.passed) for rep in reports]
@@ -264,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sphere_flags(p)
     p.add_argument("--levels", type=int, default=2, help="largest n_theta")
     p.add_argument("--lmax", type=int, default=2)
-    p.add_argument("--grid-points", type=int, default=2000,
-                   help="finer FD grid; the oracle extrapolates it with half as many points")
     p.add_argument("--perturb-energy", type=float, default=0.0,
                    help="test hook: relative energy perturbation the detectors must flag")
     _add_output_flags(p)

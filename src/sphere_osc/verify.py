@@ -32,11 +32,12 @@ _LOG2 = math.log(2.0)
 # for the lowest levels.
 MAX_QUAD_NODES = 2000
 MAX_FD_LEVELS = 20
-# FD grid sizes.  Above MAX_GRID_POINTS the bisection's rounding, which grows
-# like 4/h^2 and is amplified by the Richardson step, pushes the extrapolated
-# oracle past 1e-7: first at 29 500 points on the 9x9 verify trap.
+# FD grid sizes of build_discretized_operator: a floor and a work cap.  The
+# oracle of _verify_block sizes its own grids from mu, 6326 points at MAX_MU.
 MIN_GRID_POINTS = 500
 MAX_GRID_POINTS = 29_000
+# Bisection width of fd_eigensolve; stebz's default, eps * |T|_1, grows with the pole rows.
+_BISECTION_TOL = 1.0e-10
 
 _ODE_GRID = np.linspace(0.05, math.pi - 0.05, 101)
 # Nearer theta = 0 the residual's terms (1/sin^2, the envelope's log-derivative
@@ -207,28 +208,31 @@ def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarr
     prefactor = eigenfunctions._log_prefactor_halfangle(params, QuantumNumbers(0, L))
     _, e0, e1, mu1, mu2 = prefactor
     rows, x = np.asarray(n_values), np.cos(th)
-    # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x), zero where n < k
-    p, q1, q2 = (np.pad(list(special.jacobi_sweep(int(rows.max()), JacobiParams(mu2 + k, mu1 + k), x)),
-                        ((k, 0), (0, 0)))[rows] for k in range(3))
-    s = rows[:, None] + mu1 + mu2 + 1.0
-    p_x, p_xx = 0.5 * s * q1, 0.25 * s * (s + 1.0) * q2
-    sin_th, tan_half = np.sin(th), np.tan(0.5 * th)
-    p_t, p_tt = -sin_th * p_x, sin_th**2 * p_xx - x * p_x
-    g_t = 0.5 * (e0 / tan_half - e1 * tan_half)
-    g_tt = -0.25 * (e0 / np.sin(0.5 * th) ** 2 + e1 / np.cos(0.5 * th) ** 2)
-    lr = model.reduce_L(params.N, L)
-    u_pot = (lr * (lr + params.N - 2.0) / sin_th**2
-             + 0.25 * params.w1**2 * tan_half**2 + 0.25 * params.w2**2 / tan_half**2)
-    eps = np.asarray(eps, dtype=float)[:, None]
-    terms = [(g_tt + g_t**2) * p + 2.0 * g_t * p_t + p_tt,
-             (params.N - 1.0) / np.tan(th) * (g_t * p + p_t), -u_pot * p, eps * p]
-    log_env = sum(eigenfunctions._envelope_terms(prefactor, th))
-    # the floor is inf where the envelope is negligible against max|F|: that point weighs nothing
-    with np.errstate(divide="ignore", over="ignore"):
+    # a term that overflows (P_n grows like binom(n + mu, n)) makes its residual NaN, rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x), zero where n < k
+        p, q1, q2 = (np.pad(list(special.jacobi_sweep(int(rows.max()), JacobiParams(mu2 + k, mu1 + k),
+                                                      x)), ((k, 0), (0, 0)))[rows] for k in range(3))
+        s = rows[:, None] + mu1 + mu2 + 1.0
+        p_x, p_xx = 0.5 * s * q1, 0.25 * s * (s + 1.0) * q2
+        sin_th, tan_half = np.sin(th), np.tan(0.5 * th)
+        p_t, p_tt = -sin_th * p_x, sin_th**2 * p_xx - x * p_x
+        g_t = 0.5 * (e0 / tan_half - e1 * tan_half)
+        g_tt = -0.25 * (e0 / np.sin(0.5 * th) ** 2 + e1 / np.cos(0.5 * th) ** 2)
+        lr = model.reduce_L(params.N, L)
+        u_pot = (lr * (lr + params.N - 2.0) / sin_th**2
+                 + 0.25 * params.w1**2 * tan_half**2 + 0.25 * params.w2**2 / tan_half**2)
+        eps = np.asarray(eps, dtype=float)[:, None]
+        terms = [(g_tt + g_t**2) * p + 2.0 * g_t * p_t + p_tt,
+                 (params.N - 1.0) / np.tan(th) * (g_t * p + p_t), -u_pot * p, eps * p]
+        log_env = sum(eigenfunctions._envelope_terms(prefactor, th))
+        # the floor is inf where the envelope is negligible against max|F|: that point weighs nothing
         log_max = np.max(log_env + np.log(np.abs(p)), axis=1, keepdims=True)
         floor = np.maximum(1.0, np.abs(eps)) * np.exp(log_max - log_env)
-    scale = np.maximum.reduce([np.abs(t) for t in terms] + [floor])
-    return np.max(np.abs(sum(terms)) / scale, axis=1)
+        scale = np.maximum.reduce([np.abs(t) for t in terms] + [floor])
+        residuals = np.max(np.abs(sum(terms)) / scale, axis=1)
+    check_envelope("ODE residual", residuals.max(), np.finfo(float).max)
+    return residuals
 
 
 def ode_residual(params: OscillatorParams, qn: QuantumNumbers,
@@ -309,8 +313,8 @@ def build_discretized_operator(params: OscillatorParams, L: int, grid_points: in
 def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: int) -> np.ndarray:
     """Lowest k_levels dimensionless eigenvalues of the finite-difference operator.
 
-    Sturm-sequence bisection on the symmetric tridiagonal matrix; returned
-    ascending, in units of hbar^2 / (2 m R^2).
+    Sturm-sequence bisection on the symmetric tridiagonal matrix, to a width
+    of _BISECTION_TOL; returned ascending, in units of hbar^2 / (2 m R^2).
     """
     check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
     from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -319,7 +323,7 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: 
     try:
         vals = eigh_tridiagonal(op.diagonal, op.offdiag, eigvals_only=True,
                                 select="i", select_range=(0, k_levels - 1),
-                                lapack_driver="stebz")
+                                lapack_driver="stebz", tol=_BISECTION_TOL)
     except LinAlgError as exc:
         raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
     return vals
@@ -377,7 +381,7 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers,
     return table
 
 
-def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
+def _verify_block(params: OscillatorParams, L: int, n_values,
                   energy_factor: float) -> list[VerificationReport]:
     """Run every oracle against the states n_theta in n_values at one L.
 
@@ -386,9 +390,10 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     grids are built once per block and shared by all n_theta; nothing is
     evaluated per state, and normalization_check and node_count are rows of
     the same helpers.
-    The FD oracle is one Richardson step over the grids grid_points and
-    grid_points // 2, which cancels the O(h^2) error of the single-grid
-    eigenvalues.
+    The FD oracle is one Richardson step over the grids G and G // 2, which
+    cancels the O(h^2) error of the single-grid eigenvalues.  A state's width
+    scales like 1/sqrt(mu), so G = max(2000, 2 ceil(100 sqrt(mu_max))) holds the
+    extrapolated error near its value at mu = 100.
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
@@ -396,7 +401,8 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     norms = _norms(params, L, n_max)
     eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
                       * energy_factor) for n in n_values]
-    fine, coarse = grid_points, grid_points // 2
+    coarse = max(1000, math.ceil(100.0 * math.sqrt(max(eigenfunctions.checked_mu(params, L)))))
+    fine = 2 * coarse
     fd = ((fine**2 * fd_eigensolve(params, L, n_max + 1, fine)
            - coarse**2 * fd_eigensolve(params, L, n_max + 1, coarse))
           / (fine**2 - coarse**2))
@@ -411,13 +417,13 @@ def _verify_block(params: OscillatorParams, L: int, n_values, grid_points: int,
     ) for n, e, resid in zip(n_values, eps, residuals)]
 
 
-def verification_report(params: OscillatorParams, qn: QuantumNumbers,
-                        grid_points: int = 2000, energy_factor: float = 1.0) -> VerificationReport:
+def verification_report(params: OscillatorParams, qn: QuantumNumbers, *,
+                        energy_factor: float = 1.0) -> VerificationReport:
     """Run every oracle against one state and collect the outcome.
 
-    `grid_points` is the finer of the two FD oracle grids (see _verify_block);
-    the norm integral uses the exact n_theta + 1 node matched rule.
+    The FD oracle sizes its grids from mu (see _verify_block); the norm
+    integral uses the exact n_theta + 1 node matched rule.
     `energy_factor` multiplies the closed-form level before the residual and
     oracle comparisons (the perturbation detector hook).
     """
-    return _verify_block(params, qn.L, [qn.n_theta], grid_points, energy_factor)[0]
+    return _verify_block(params, qn.L, [qn.n_theta], energy_factor)[0]

@@ -74,7 +74,7 @@ class TestSpectrumCommand:
          "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
         # list columns (ints, floats, bools, None, strings) rather than arrays
         ("verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2 --format json",
-         "18568c87c08a778955c09208e204c51037250fb4050c1b04beb07ce650c6461c"),
+         "e40457820aa759dcb9e050eec41c58d9a3ac2598e3b0a9fa0afd339b79c290eb"),
         ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
          "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
     ])
@@ -194,6 +194,8 @@ class TestVerifyCommand:
         # the finite-difference ODE residual gave 1.5e-8 and 7.5e-6 here
         ("verify --dim 3 --w1 900 --w2 1 --levels 1 --lmax 0", 2),
         ("verify --dim 2 --w1 0.02445 --w2 0.8257 --levels 1 --lmax 0", 2),
+        # mu_2 = 998: a fixed 2000-point oracle grid missed 1e-6 from n_theta = 6
+        ("verify --dim 3 --w1 0 --w2 998 --levels 19 --lmax 0", 20),
     ])
     def test_every_row_certified(self, args, rows):
         res = run_cli(args.split())
@@ -273,11 +275,6 @@ class TestExitCodes:
         # size caps, checked before anything is allocated
         "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",
         "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
-        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 10000000000000000000000",
-        # the oracle's coarse grid, --grid-points // 2, must keep the 500-point floor
-        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 999",
-        # MAX_GRID_POINTS + 1: past the cap bisection rounding spoils the extrapolation
-        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 0 --grid-points 29001",
         "verify --dim 3 --w1 5 --w2 2 --levels 100000000000 --lmax 0",
         # mu at --lmax is outside MAX_MU: rejected before the first L block
         "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 5000",
@@ -316,8 +313,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, code", [
         ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", 0),
         # the command's own exit code survives the closed pipe
-        ("verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 99 --grid-points 1000 "
-         "--perturb-energy 1e-3", 1),
+        ("verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 49 --perturb-energy 1e-3", 1),
     ])
     def test_closed_stdout_is_quiet(self, args, code):
         proc = subprocess.Popen(CLI + args.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -406,7 +402,7 @@ from sphere_osc.cli import main
 
 with contextlib.redirect_stderr(io.StringIO()):
     codes = [main(["verify", "--dim", "3", "--levels", "-1"]),
-             main(["verify", "--dim", "3", "--grid-points", "10"]),
+             main(["verify", "--dim", "3", "--levels", "1000"]),
              main(["verify", "--dim", "3", "--w1", "999", "--lmax", "100000"])]
 assert codes == [2, 3, 3], codes
 assert "scipy" not in sys.modules

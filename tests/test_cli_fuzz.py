@@ -29,8 +29,7 @@ _FLAGS = {
                                        "--grid": st.integers(-1, 12).map(str),
                                        "--projected": None}),
     "verify": ({"--dim": _DIM, "--levels": _SMALL, "--lmax": _SMALL},
-               {**_SPHERE, "--grid-points": st.sampled_from(["999", "1000"]),
-                "--perturb-energy": _REALS}),
+               {**_SPHERE, "--perturb-energy": _REALS}),
     "euclid-limit": ({"--dim": _DIM, "--chi": _REALS, "--radii": _RADII},
                      {"--omega": _REALS, "--mass": _REALS, "--hbar": _REALS, "--natural": None,
                       "--nr": _SMALL, "--l": _SMALL, "--format": st.sampled_from(["csv", "json"])}),
