@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_envelope, check_int, check_range, check_real
+from .errors import RangeError, check_envelope, check_int, check_range, check_real
 
 # Largest weight exponent accepted by the degree recurrences.  The envelope
 # is set by the Jacobi-to-Laguerre limit checks, which push beta to 1e5;
@@ -51,7 +51,10 @@ def log_gamma(x: float) -> float:
 
 
 def jacobi_sweep(n: int, params: JacobiParams, x):
-    """Yield P_0, ..., P_n^(alpha,beta)(x) in turn from the three-term recurrence in the degree."""
+    """Yield P_0, ..., P_n^(alpha,beta)(x) in turn from the three-term recurrence in the degree.
+
+    P_n grows like binom(n + alpha, n): a row that overflows the double range raises RangeError.
+    """
     n = check_int("degree", n, 0)
     check_envelope("alpha", params.alpha, MAX_RECURRENCE_PARAM)
     check_envelope("beta", params.beta, MAX_RECURRENCE_PARAM)
@@ -68,7 +71,10 @@ def jacobi_sweep(n: int, params: JacobiParams, x):
             c1 = 2.0 * k * (k + a + b) * (s - 2.0)
             c2 = (s - 1.0) * (s * (s - 2.0) * xa + (a - b) * (a + b))
             c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-            p, pm1 = (c2 * p - c3 * pm1) / c1, p
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
+                p, pm1 = (c2 * p - c3 * pm1) / c1, p
+            if not np.isfinite(p).all():
+                raise RangeError(f"P_{k}^({a:g}, {b:g}) overflows the double range")
             yield p
 
 

@@ -32,8 +32,7 @@ _LOG2 = math.log(2.0)
 # for the lowest levels.
 MAX_QUAD_NODES = 2000
 MAX_FD_LEVELS = 20
-# FD grid sizes of build_discretized_operator: a floor and a work cap.  The
-# oracle of _verify_block sizes its own grids from mu, 6326 points at MAX_MU.
+# FD grid sizes of build_discretized_operator: a floor and a work cap (fd_eigensolve: 6326 at MAX_MU).
 MIN_GRID_POINTS = 500
 MAX_GRID_POINTS = 29_000
 # Bisection width of fd_eigensolve; stebz's default, eps * |T|_1, grows with the pole rows.
@@ -181,8 +180,13 @@ def _matched_rule(params: OscillatorParams, L: int, n_max: int):
 def _norms(params: OscillatorParams, L: int, n_max: int) -> list[float]:
     """normalization_check of the states n_theta = 0..n_max at one L, on the n_max + 1 node rule."""
     rule, theta, measure_log = _matched_rule(params, L, n_max)
-    return [float(rule.weights @ np.where(sign == 0.0, 0.0, np.exp(2.0 * log_abs + measure_log)))
-            for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)]
+    norms = []
+    for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta):
+        with np.errstate(over="ignore", invalid="ignore"):  # F^2 can overflow where F does not
+            integrand = np.where(sign == 0.0, 0.0, np.exp(2.0 * log_abs + measure_log))
+            norms.append(float(rule.weights @ integrand))
+    check_envelope("norm integral", np.max(norms), np.finfo(float).max)
+    return norms
 
 
 def normalization_check(params: OscillatorParams, qn: QuantumNumbers) -> float:
@@ -208,11 +212,13 @@ def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarr
     prefactor = eigenfunctions._log_prefactor_halfangle(params, QuantumNumbers(0, L))
     _, e0, e1, mu1, mu2 = prefactor
     rows, x = np.asarray(n_values), np.cos(th)
-    # a term that overflows (P_n grows like binom(n + mu, n)) makes its residual NaN, rejected below
+    # a sweep row that overflows raises RangeError; a term that overflows (P_n grows like
+    # binom(n + mu, n)) makes its residual NaN, rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x), zero where n < k
-        p, q1, q2 = (np.pad(list(special.jacobi_sweep(int(rows.max()), JacobiParams(mu2 + k, mu1 + k),
-                                                      x)), ((k, 0), (0, 0)))[rows] for k in range(3))
+        p, q1, q2 = (np.pad(list(special.jacobi_sweep(max(int(rows.max()) - k, 0),
+                                                      JacobiParams(mu2 + k, mu1 + k), x)),
+                            ((k, 0), (0, 0)))[rows] for k in range(3))
         s = rows[:, None] + mu1 + mu2 + 1.0
         p_x, p_xx = 0.5 * s * q1, 0.25 * s * (s + 1.0) * q2
         sin_th, tan_half = np.sin(th), np.tan(0.5 * th)
@@ -310,23 +316,30 @@ def build_discretized_operator(params: OscillatorParams, L: int, grid_points: in
                                unit=params.energy_unit)
 
 
-def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int, grid_points: int) -> np.ndarray:
-    """Lowest k_levels dimensionless eigenvalues of the finite-difference operator.
+def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray:
+    """Lowest k_levels dimensionless eigenvalues of the reduced operator: the FD oracle.
 
-    Sturm-sequence bisection on the symmetric tridiagonal matrix, to a width
-    of _BISECTION_TOL; returned ascending, in units of hbar^2 / (2 m R^2).
+    One Richardson step over a coarse grid and a fine one of twice its points cancels the
+    O(h^2) error of either grid.  A state's width scales like 1/sqrt(mu), so coarse =
+    max(1000, ceil(100 sqrt(mu_max))) holds the extrapolated error near its value at mu = 100.
+    Each grid is bisected to a width of _BISECTION_TOL; returned ascending, in units of
+    hbar^2 / (2 m R^2).
     """
     check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
+    coarse = max(1000, math.ceil(100.0 * math.sqrt(max(eigenfunctions.checked_mu(params, L)))))
+    fine = 2 * coarse
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-    op = build_discretized_operator(params, L, grid_points)
-    try:
-        vals = eigh_tridiagonal(op.diagonal, op.offdiag, eigvals_only=True,
-                                select="i", select_range=(0, k_levels - 1),
-                                lapack_driver="stebz", tol=_BISECTION_TOL)
-    except LinAlgError as exc:
-        raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return vals
+    scaled = []
+    for points in (fine, coarse):
+        op = build_discretized_operator(params, L, points)
+        try:
+            scaled.append(points**2 * eigh_tridiagonal(
+                op.diagonal, op.offdiag, eigvals_only=True, select="i",
+                select_range=(0, k_levels - 1), lapack_driver="stebz", tol=_BISECTION_TOL))
+        except LinAlgError as exc:
+            raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return (scaled[0] - scaled[1]) / (fine**2 - coarse**2)
 
 
 def _node_counts(params: OscillatorParams, L: int, n_max: int) -> list[int]:
@@ -390,10 +403,6 @@ def _verify_block(params: OscillatorParams, L: int, n_values,
     grids are built once per block and shared by all n_theta; nothing is
     evaluated per state, and normalization_check and node_count are rows of
     the same helpers.
-    The FD oracle is one Richardson step over the grids G and G // 2, which
-    cancels the O(h^2) error of the single-grid eigenvalues.  A state's width
-    scales like 1/sqrt(mu), so G = max(2000, 2 ceil(100 sqrt(mu_max))) holds the
-    extrapolated error near its value at mu = 100.
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
@@ -401,11 +410,7 @@ def _verify_block(params: OscillatorParams, L: int, n_values,
     norms = _norms(params, L, n_max)
     eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
                       * energy_factor) for n in n_values]
-    coarse = max(1000, math.ceil(100.0 * math.sqrt(max(eigenfunctions.checked_mu(params, L)))))
-    fine = 2 * coarse
-    fd = ((fine**2 * fd_eigensolve(params, L, n_max + 1, fine)
-           - coarse**2 * fd_eigensolve(params, L, n_max + 1, coarse))
-          / (fine**2 - coarse**2))
+    fd = fd_eigensolve(params, L, n_max + 1)
     nodes = _node_counts(params, L, n_max)
     residuals = _ode_residuals(params, L, n_values, eps, _ODE_GRID)
     return [VerificationReport(
@@ -421,7 +426,7 @@ def verification_report(params: OscillatorParams, qn: QuantumNumbers, *,
                         energy_factor: float = 1.0) -> VerificationReport:
     """Run every oracle against one state and collect the outcome.
 
-    The FD oracle sizes its grids from mu (see _verify_block); the norm
+    The FD oracle sizes its grids from mu (see fd_eigensolve); the norm
     integral uses the exact n_theta + 1 node matched rule.
     `energy_factor` multiplies the closed-form level before the residual and
     oracle comparisons (the perturbation detector hook).

@@ -283,6 +283,9 @@ class TestExitCodes:
         "wavefunction --dim 400 --radius 1e-100 --grid 3",
         "euclid-limit --dim 10 --chi 1.5 --radii 1e-150,1,2",
         "wavefunction --dim 400 --radius 1e-100 --omega1 1e200 --omega2 1e200 --grid 3",
+        # the Jacobi sweep overflows (P_n grows like binom(n + mu, n)): three stderr lines before,
+        # a numpy "invalid value" warning and its source line ahead of the error
+        "wavefunction --dim 3 --w1 999 --w2 999 --ntheta 600 --grid 5",
     ])
     def test_rejected_input_exits_3(self, args):
         res = run_cli(args.split())

@@ -130,6 +130,14 @@ class TestJacobi:
         with pytest.raises(RangeError):
             jacobi_eval(2, JacobiParams(2.0e6, 0.0), 0.5)
 
+    def test_overflowing_row_raises(self):
+        # P_n^(999,999)(1) = binom(n + 999, n) is 3e297 at n = 291; the recurrence's
+        # products pass the largest double from n = 293 (inf - inf gave nan before)
+        p = JacobiParams(999.0, 999.0)
+        assert math.isfinite(jacobi_eval(292, p, 1.0))
+        with pytest.raises(RangeError):
+            jacobi_eval(293, p, 1.0)
+
 
 class TestHyp2F1:
     def test_trivial(self):

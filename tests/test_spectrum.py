@@ -55,7 +55,7 @@ class TestGeneralEnergy:
 
     def test_symmetric_trap_ground_level_oracle(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        fd = fd_eigensolve(p, 0, 1, 8000)[0]
+        fd = fd_eigensolve(p, 0, 1)[0]
         assert rel(fd, 1.5) <= 1e-6
 
     def test_swap_symmetry_is_exact(self):
@@ -144,7 +144,7 @@ class TestSpecialCaseForms:
         qn = QuantumNumbers(3, 2)
         assert rel(epsilon(p, qn), epsilon_product_omega2_zero(5, 3, 2, mu(p, 2, 1), 10.0)) <= 1e-12
         assert rel(epsilon(p, qn), mp_epsilon(5, 3, 2, 10.0, 0.0)) <= 1e-15
-        fd = fd_eigensolve(p, 2, 4, 8000)[3]
+        fd = fd_eigensolve(p, 2, 4)[3]
         assert rel(fd, epsilon(p, qn)) <= 1e-6
 
     def test_product_forms_randomized(self):
@@ -231,7 +231,7 @@ class TestSpectrumTable:
     def test_table_matches_fd_oracle(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
         table = spectrum_table(p, 2, 2)
-        fd = {L: fd_eigensolve(p, L, 3, 8000) for L in range(3)}
+        fd = {L: fd_eigensolve(p, L, 3) for L in range(3)}
         assert len(table.epsilon) == 9
         for n, L, eps in zip(table.n_theta.tolist(), table.L.tolist(), table.epsilon.tolist()):
             want = float(fd[L][n])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from sphere_osc.verify import (
     MAX_GRID_POINTS,
     MAX_QUAD_NODES,
     ORACLE_TOL,
+    _BISECTION_TOL,
     _verify_block,
     build_discretized_operator,
     euclidean_limit_scan,
@@ -42,6 +44,9 @@ from sphere_osc.verify import (
     overlap_matrix,
     verification_report,
 )
+
+
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_dim3_w5_2.csv"
 
 
 def rel(a, b):
@@ -275,6 +280,21 @@ class TestOdeResidual:
                             QuantumNumbers(30, 0), [1e-120]) <= 1e-8
         assert ode_residual(p, QuantumNumbers(2, 1), [1e-120, math.pi - 4.4e-16]) <= 1e-8
 
+    def test_derivative_sweeps_stop_at_their_last_row(self):
+        # the rows P_n^(mu+1) and P_(n-1), P_n^(mu+2) are never used, and they overflow
+        # here while every row the residual takes stays finite
+        assert ode_residual(OscillatorParams.from_couplings(3, 999.0, 999.0),
+                            QuantumNumbers(293, 0), [0.05]) <= 1e-8
+        assert ode_residual(OscillatorParams.from_couplings(3, 0.0, 998.0),
+                            QuantumNumbers(427, 0), [1.0]) <= 1e-8
+
+
+def single_grid_levels(params, L, k_levels, grid_points):
+    """Lowest k_levels eigenvalues of the discretized operator on one grid, bisected as the oracle's."""
+    op = build_discretized_operator(params, L, grid_points)
+    return eigh_tridiagonal(op.diagonal, op.offdiag, eigvals_only=True, select="i",
+                            select_range=(0, k_levels - 1), lapack_driver="stebz", tol=_BISECTION_TOL)
+
 
 def fd_eigenvectors(params, L, k_levels, grid_points):
     """Eigenvalues and eigenvectors F of the discretized operator.
@@ -298,21 +318,21 @@ def fd_eigenvectors(params, L, k_levels, grid_points):
 class TestFdEigensolve:
     def test_free_particle_n3(self):
         p = OscillatorParams(N=3)
-        vals = fd_eigensolve(p, 0, 4, 8000)
+        vals = fd_eigensolve(p, 0, 4)
         for n, got in enumerate(vals):
             want = n * (n + 2)
             assert abs(got - want) / max(abs(want), 1.0) <= 1e-6
 
     def test_symmetric_trap_ground(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        assert abs(fd_eigensolve(p, 0, 1, 8000)[0] - 1.5) <= 1e-6
+        assert abs(fd_eigensolve(p, 0, 1)[0] - 1.5) <= 1e-6
 
     def test_second_order_refinement(self):
         p = OscillatorParams.from_couplings(3, 1.0, 1.0)
         qn = QuantumNumbers(2, 1)
         want = epsilon(p, qn)
         grids = [2000, 4000, 8000]
-        errs = [abs(fd_eigensolve(p, 1, 3, g)[2] - want) for g in grids]
+        errs = [abs(single_grid_levels(p, 1, 3, g)[2] - want) for g in grids]
         slope = loglog_slope(grids, errs)
         assert abs(slope + 2.0) <= 0.2, f"slope={slope}"
 
@@ -330,20 +350,21 @@ class TestFdEigensolve:
 
     def test_bisection_tolerance_at_the_mu_cap(self):
         # stebz's default tolerance, eps * |T|_1, grows with the pole rows: at mu = MAX_MU
-        # the ground level's relative error rose from 4.7e-6 at 8000 points to 3.0e-5 at the cap
+        # it left a worst relative error of 2.6e-6 over these 20 levels, 1.5e-7 at _BISECTION_TOL
         p = OscillatorParams.from_couplings(2, MAX_MU, 0.0)
-        want = epsilon(p, QuantumNumbers(0, 0))
-        errs = [abs(fd_eigensolve(p, 0, 1, g)[0] - want) for g in (8000, MAX_GRID_POINTS)]
-        assert errs[1] <= errs[0] / 10.0, errs  # second order: (29 000 / 8000)^2 = 13
+        fd = fd_eigensolve(p, 0, 20)
+        errs = [abs(float(fd[n]) - e) / max(abs(e), 1.0)
+                for n, e in enumerate(epsilon(p, QuantumNumbers(n, 0)) for n in range(20))]
+        assert max(errs) <= ORACLE_TOL, errs
 
     def test_validation(self):
         p = OscillatorParams(N=2)
         with pytest.raises(DomainError):
-            fd_eigensolve(p, 0, 3, 499)
+            build_discretized_operator(p, 0, 499)
         with pytest.raises(DomainError):
-            fd_eigensolve(p, 0, 21, 1000)
+            fd_eigensolve(p, 0, 21)
         with pytest.raises(DomainError):
-            fd_eigensolve(p, 0, 0, 1000)
+            fd_eigensolve(p, 0, 0)
 
     def test_eigenvector_matches_closed_form(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
@@ -456,7 +477,23 @@ def oracle_errors(params, L, n_values):
 
 
 class TestExtrapolatedOracle:
-    """The FD oracle is one Richardson step over the grids G and G // 2, G sized from mu."""
+    """fd_eigensolve is one Richardson step over a coarse grid sized from mu and one of twice its points."""
+
+    def test_verify_takes_fd_eigensolve(self):
+        # the golden configuration, verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2
+        golden = GOLDEN_VERIFY.read_text().splitlines()
+        col = golden[0].split(",").index("oracle_energy_relerr")
+        rows = [line.split(",") for line in golden[1:]]
+        from_csv = {(int(r[0]), int(r[1])): float(r[col]) for r in rows}
+        for L in range(3):
+            fd = fd_eigensolve(W5_2, L, 5)
+            levels = [epsilon(W5_2, QuantumNumbers(n, L)) for n in range(5)]
+            want = [abs(float(fd[n]) - e) / max(abs(e), 1.0) for n, e in enumerate(levels)]
+            assert [rep.oracle_energy_relerr for rep in _verify_block(W5_2, L, range(5), 1.0)] == want
+            assert [from_csv[n, L] for n in range(5)] == want
+            # mu <= 100 at every L: the grid floor, 1000 and 2000 points
+            fine, coarse = single_grid_levels(W5_2, L, 5, 2000), single_grid_levels(W5_2, L, 5, 1000)
+            assert np.array_equal(fd, (2000**2 * fine - 1000**2 * coarse) / (2000**2 - 1000**2))
 
     @pytest.mark.parametrize("N, w1, w2, n_values, L_values", [
         # n_theta = 8 missed 1e-6 on one 8000-point grid at every L
@@ -509,20 +546,21 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("call, error", [
         (lambda: spectrum_table(W5_2, 1.5, 0), DomainError),
-        (lambda: fd_eigensolve(W5_2, 0, 2.5, 1000), DomainError),
+        (lambda: fd_eigensolve(W5_2, 0, 2.5), DomainError),
         (lambda: ode_residual(W5_2, QuantumNumbers(0, 0), [math.nan]), DomainError),
         (lambda: normalization_check(W2000, QuantumNumbers(0, 0)), RangeError),
         (lambda: verification_report(W2000, QuantumNumbers(0, 0)), RangeError),
+        (lambda: fd_eigensolve(W2000, 0, 1), RangeError),
         (lambda: gauss_jacobi_rule(200, 2.0, 2000.0), RangeError),
         # the package's exponents are mu >= 0; near -1 the weight mass lost accuracy
         (lambda: gauss_jacobi_rule(200, -0.5, 2.0), DomainError),
-        (lambda: fd_eigensolve(W5_2, 1.5, 2, 1000), DomainError),
+        (lambda: fd_eigensolve(W5_2, 1.5, 2), DomainError),
         (lambda: energy_euclidean(FLAT, 0, 1.5), DomainError),
         (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 1.5, 0.5), DomainError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 0.0, 0.0), DomainError),
-        (lambda: fd_eigensolve(W5_2, 0, 1, MAX_GRID_POINTS + 1), DomainError),
-        (lambda: fd_eigensolve(W5_2, 0, MAX_FD_LEVELS + 1, 1000), DomainError),
+        (lambda: build_discretized_operator(W5_2, 0, MAX_GRID_POINTS + 1), DomainError),
+        (lambda: fd_eigensolve(W5_2, 0, MAX_FD_LEVELS + 1), DomainError),
         (lambda: epsilon(W5_2, QuantumNumbers(HUGE, 0)), RangeError),
         (lambda: epsilon(W5_2, QuantumNumbers(0, HUGE)), RangeError),
         (lambda: energy(W5_2, QuantumNumbers(HUGE, 0)), RangeError),
@@ -549,13 +587,20 @@ class TestInputValidation:
         # encountered in multiply" before), near the pole and at n_theta = 400 inside
         (lambda: ode_residual(W999_999, QuantumNumbers(100, 0), [1e-100]), RangeError),
         (lambda: ode_residual(W999_999, QuantumNumbers(400, 0), [0.3]), RangeError),
+        # the Jacobi sweep of n_theta = 600 overflows: before, each warned (the suite's
+        # error::RuntimeWarning filter raises those), then gave F = nan, a nan norm and 5636 nodes
+        (lambda: eval_F(W999_999, QuantumNumbers(600, 0), np.arange(1, 6) * math.pi / 6.0), RangeError),
+        (lambda: normalization_check(W999_999, QuantumNumbers(600, 0)), RangeError),
+        (lambda: node_count(W999_999, QuantumNumbers(600, 0)), RangeError),
+        # the sweep stays finite on the 446-node rule, but the norm integrand F^2 overflows
+        (lambda: normalization_check(W999_999, QuantumNumbers(445, 0)), RangeError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
             "ode_residual-nan-grid", "normalization_check-w2000",
-            "verification_report-w2000", "gauss_jacobi_rule-beta2000",
+            "verification_report-w2000", "fd_eigensolve-w2000", "gauss_jacobi_rule-beta2000",
             "gauss_jacobi_rule-negative-alpha", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf", "gauss_jacobi_rule-nodes-cap",
             "gauss_jacobi_rule-nodes-cap-legendre",
-            "fd_eigensolve-grid-cap", "fd_eigensolve-levels-cap",
+            "build_discretized_operator-grid-cap", "fd_eigensolve-levels-cap",
             "epsilon-huge-n", "epsilon-huge-L",
             "energy-huge-n", "energy-huge-L", "energy_equal_omegas-huge-n",
             "energy_equal_omegas-huge-L", "energy_omega2_zero-huge-n", "energy_omega2_zero-huge-L",
@@ -564,7 +609,9 @@ class TestInputValidation:
             "eval_f_euclidean-array-r-inf", "eval_F-array-nan", "project_to_plane-array-nan",
             "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan",
             "spectrum_table-huge-level-count", "ode_residual-overflow-pole",
-            "ode_residual-overflow-degree"])
+            "ode_residual-overflow-degree", "eval_F-sweep-overflow",
+            "normalization_check-sweep-overflow", "node_count-sweep-overflow",
+            "normalization_check-integrand-overflow"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
