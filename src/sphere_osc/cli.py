@@ -186,7 +186,6 @@ def _cmd_verify(args) -> int:
     # the caps and the mu envelope (mu grows with L) are checked before the first block
     check_int("--levels", args.levels, hi=verify_mod.MAX_FD_LEVELS - 1)
     checked_mu(params, args.lmax)
-    import scipy.linalg  # the oracles' solver, loaded once here rather than inside the first rule
 
     n_values = list(range(args.levels + 1))
     reports = [rep for L in range(args.lmax + 1)

@@ -6,10 +6,17 @@ symmetric finite-difference discretization Richardson-extrapolated over two
 grids, and differential-equation residuals from exact derivatives of the
 closed form, which share its Jacobi recurrence but not its energy formula or
 normalization.
+
+Both tridiagonal eigenproblems go through eigh_tridiagonal: LAPACK dstevd for
+all of a rule's nodes, dstebz bisection for the oracle's lowest levels.  Each
+is called with ctypes in the ILP64 OpenBLAS that numpy's wheel bundles, so
+no command imports scipy; where numpy carries none, scipy.linalg solves.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,11 +105,75 @@ class VerificationReport:
         )
 
 
+@functools.cache
+def _lapack():
+    """(dstebz, dstevd) of the ILP64 scipy-openblas that numpy's wheel bundles, or None.
+
+    Resolved through the dependencies of numpy's core extension on the first solve, never at
+    import; where numpy carries no such library (conda/MKL builds, numpy 1.x) scipy solves.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_dstebz_64_, lib.scipy_dstevd_64_
+    except (AttributeError, OSError):
+        return None
+
+
+def eigh_tridiagonal(d, e, k_levels: int | None = None) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal d, off-diagonal e.
+
+    All of them (LAPACK dstevd, the routine scipy's eigh_tridiagonal picks for them), or with
+    k_levels the lowest k_levels bisected to a width of _BISECTION_TOL (dstebz).  Arguments
+    are checked here: LAPACK reports a bad one on stdout.  A LAPACK failure raises
+    ArithmeticError.
+    """
+    d, e = (np.array(v, dtype=float, ndmin=1) for v in (d, e))  # copies: dstevd overwrites both
+    n = check_int("diagonal length", d.size, 1)
+    check_int("off-diagonal length", e.size, n - 1, n - 1)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise DomainError("tridiagonal matrix entries must be finite")
+    if k_levels is not None:
+        k_levels = check_int("k_levels", k_levels, 1, n)
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg import LinAlgError
+        from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+
+        select = {} if k_levels is None else dict(select="i", select_range=(0, k_levels - 1),
+                                                  lapack_driver="stebz", tol=_BISECTION_TOL)
+        try:
+            return scipy_eigh_tridiagonal(d, e, eigvals_only=True, **select)
+        except LinAlgError as exc:
+            raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+    def ref(value):  # LAPACK takes every scalar by reference; integers are 64-bit here
+        return ctypes.byref((ctypes.c_double if isinstance(value, float) else ctypes.c_int64)(value))
+
+    info, nsplit = ctypes.c_int64(), ctypes.c_int64()
+    m = ctypes.c_int64(n)  # the count of levels stebz found; stevd finds all n
+    char_len = ctypes.c_size_t(1)  # the hidden length of each CHARACTER argument, passed last
+    if k_levels is None:
+        w, k_levels, work, iwork = d, n, np.empty(1), np.empty(1, dtype=np.int64)
+        lapack[1](b"N", ref(n), d.ctypes, e.ctypes, work.ctypes, ref(1), work.ctypes, ref(1),
+                  iwork.ctypes, ref(1), ctypes.byref(info), char_len)
+    else:
+        w, work, iwork = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)
+        lapack[0](b"I", b"E", ref(n), ref(0.0), ref(0.0), ref(1), ref(k_levels),
+                  ref(_BISECTION_TOL), d.ctypes, e.ctypes, ctypes.byref(m), ctypes.byref(nsplit),
+                  w.ctypes, iwork[:n].ctypes, iwork[n:2 * n].ctypes, work.ctypes,
+                  iwork[2 * n:].ctypes, ctypes.byref(info), char_len, char_len)
+    if info.value != 0 or m.value != k_levels:
+        raise ArithmeticError(f"tridiagonal eigensolver failed: LAPACK info={info.value}, "
+                              f"{m.value} of {k_levels} eigenvalues")
+    return w[:k_levels]
+
+
 def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     """n-point Gauss-Jacobi rule, exact through polynomial degree 2n - 1.
 
     Golub-Welsch construction: the nodes are the eigenvalues of the symmetric
-    tridiagonal matrix of the orthonormal three-term recurrence.  The weights
+    tridiagonal matrix of the orthonormal three-term recurrence, all of them
+    from LAPACK dstevd through eigh_tridiagonal.  The weights
     come from its Christoffel function, w_i = mu0 / sum_j p_j(x_i)^2 with p_j
     the matrix's own recurrence (p_0 = 1), not from eigenvectors: the tiny
     weights of the eigenvector route carry relative errors up to 6e-3 at
@@ -127,8 +198,6 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
     if n == 1:
         return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), alpha=alpha, beta=beta)
-    from scipy.linalg import eigh_tridiagonal
-
     bsq = np.empty(n - 1)
     bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     k = np.arange(2, n, dtype=float)
@@ -137,7 +206,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         / ((2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) * (2.0 * k + apb - 1.0))
     )
     off = np.sqrt(bsq)
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = eigh_tridiagonal(diag, off)
     # b_(j+1) p_(j+1) = (x - a_j) p_j - b_j p_(j-1); after each step the sum and
     # the two live terms are scaled by exact powers of two, so nothing overflows
     p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
@@ -328,17 +397,10 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
     check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
     coarse = max(1000, math.ceil(100.0 * math.sqrt(max(eigenfunctions.checked_mu(params, L)))))
     fine = 2 * coarse
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
     scaled = []
     for points in (fine, coarse):
         op = build_discretized_operator(params, L, points)
-        try:
-            scaled.append(points**2 * eigh_tridiagonal(
-                op.diagonal, op.offdiag, eigvals_only=True, select="i",
-                select_range=(0, k_levels - 1), lapack_driver="stebz", tol=_BISECTION_TOL))
-        except LinAlgError as exc:
-            raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
+        scaled.append(points**2 * eigh_tridiagonal(op.diagonal, op.offdiag, k_levels))
     return (scaled[0] - scaled[1]) / (fine**2 - coarse**2)
 
 

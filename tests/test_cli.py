@@ -376,9 +376,6 @@ import contextlib, io, sys
 import sphere_osc
 from sphere_osc.cli import main
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["spectrum", "--dim", "3", "--w1", "5", "--w2", "2"]),
@@ -386,15 +383,17 @@ with contextlib.redirect_stdout(io.StringIO()):
               "--l", "2", "--grid", "50", "--projected"]),
         main(["euclid-limit", "--dim", "3", "--chi", "1.5", "--nr", "1", "--l", "1",
               "--radii", "1.5,3,6,12"]),
+        main(["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", "8", "--lmax", "8"]),
     ]
-    assert codes == [0, 0, 0], codes
-    assert scipy_loaded() == [], scipy_loaded()
-    assert main(["verify", "--dim", "2", "--levels", "0", "--lmax", "0"]) == 0
-assert "scipy.linalg" in scipy_loaded()
+assert codes == [0, 0, 0, 0], codes
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
 """
 
 
-def test_scipy_loads_only_for_verify():
+@pytest.mark.skipif(cli.verify_mod._lapack() is None,
+                    reason="numpy bundles no scipy-openblas64 LAPACK; verify solves through scipy")
+def test_no_cli_command_loads_scipy():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 

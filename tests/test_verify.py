@@ -9,6 +9,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from oracle_forms import jacobi_log_norm_sq
+from sphere_osc import cli
+from sphere_osc import verify as verify_mod
 from sphere_osc.eigenfunctions import (
     MAX_MU,
     eval_F,
@@ -34,6 +36,7 @@ from sphere_osc.verify import (
     _BISECTION_TOL,
     _verify_block,
     build_discretized_operator,
+    eigh_tridiagonal as lapack_eigh_tridiagonal,
     euclidean_limit_scan,
     fd_eigensolve,
     gauss_jacobi_rule,
@@ -377,6 +380,91 @@ class TestFdEigensolve:
         err = np.max(np.abs(vecs[1][sel] * math.sqrt(h) - exact[sel] * math.sqrt(h)))
         scale = np.max(np.abs(exact[sel] * math.sqrt(h)))
         assert err / scale <= 1e-4
+
+
+# the corners of MAX_MU (TestExtrapolatedOracle::test_envelope_corners) and the golden trap
+CORNERS = [(2, 1000.0, 0.0, 0), (3, 0.0, 998.0, 0), (3, 999.0, 999.0, 0), (3, 900.0, 1.0, 0),
+           (5, 300.0, 700.0, 3), (2, 316.0, 0.0, 0), (3, 5.0, 2.0, 8)]
+needs_lapack = pytest.mark.skipif(verify_mod._lapack() is None,
+                                  reason="numpy bundles no scipy-openblas64 LAPACK")
+
+
+class TestEighTridiagonal:
+    """The helper's LAPACK route gives scipy's bits, and its checks keep LAPACK off stdout."""
+
+    @needs_lapack
+    @pytest.mark.parametrize("N, w1, w2, L", CORNERS)
+    def test_stebz_matches_scipy(self, N, w1, w2, L):
+        p = OscillatorParams.from_couplings(N, w1, w2)
+        coarse = max(1000, math.ceil(100.0 * math.sqrt(max(mu(p, L, 1), mu(p, L, 2)))))
+        for points in (coarse, 2 * coarse):
+            op = build_discretized_operator(p, L, points)
+            got = lapack_eigh_tridiagonal(op.diagonal, op.offdiag, MAX_FD_LEVELS)
+            assert got.tobytes() == single_grid_levels(p, L, MAX_FD_LEVELS, points).tobytes()
+
+    @needs_lapack
+    def test_stevd_matches_scipy(self):
+        # Golub-Welsch matrices of 300 Jacobi weights, n = 2..39, exponents in [0, 1000]
+        rng = np.random.default_rng(17)
+        for n, a, b in zip(rng.integers(2, 40, 300), rng.uniform(0, 1000, 300), rng.uniform(0, 1000, 300)):
+            apb, k = a + b, np.arange(1, n, dtype=float)
+            diag = np.concatenate([[(b - a) / (apb + 2.0)],
+                                   (b - a) * apb / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))])
+            off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + apb)
+                          / ((2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) * (2.0 * k + apb - 1.0)))
+            want = eigh_tridiagonal(diag, off, eigvals_only=True)
+            assert lapack_eigh_tridiagonal(diag, off).tobytes() == want.tobytes(), (n, a, b)
+
+    @needs_lapack
+    def test_rule_matches_scipy_route(self, monkeypatch):
+        rules = [(n, a, b) for n in (2, 9, 40, 200) for a, b in [(0.0, 0.0), (5.5, 2.5), (999.0, 0.5)]]
+        fast = [gauss_jacobi_rule(*r) for r in rules]
+        monkeypatch.setattr(verify_mod, "_lapack", lambda: None)
+        for rule, r in zip(fast, rules):
+            slow = gauss_jacobi_rule(*r)
+            assert rule.nodes.tobytes() == slow.nodes.tobytes(), r
+            assert rule.weights.tobytes() == slow.weights.tobytes(), r
+
+    @pytest.mark.parametrize("args", [
+        (np.ones(5), np.ones(4), 6), (np.ones(5), np.ones(4), 0), (np.ones(5), np.ones(4), 2.0),
+        (np.ones(5), np.ones(5), 2), (np.ones(5), np.ones(3), None), (np.ones(0), np.ones(0), None),
+        (np.ones(3), np.array([1.0, np.nan]), None), (np.array([1.0, np.inf]), np.ones(1), 1),
+    ], ids=["k-past-n", "k-zero", "k-float", "e-too-long", "e-too-short", "empty", "nan", "inf"])
+    def test_rejected_before_lapack(self, args, capfd):
+        # OpenBLAS's XERBLA prints "** On entry to DSTEBZ parameter number 7 ..." to stdout
+        with pytest.raises(DomainError):
+            lapack_eigh_tridiagonal(*args)
+        assert capfd.readouterr().out == ""
+
+    @needs_lapack
+    @pytest.mark.parametrize("k_levels, info", [(None, 1), (3, 1), (3, 0)],
+                             ids=["stevd-info", "stebz-info", "stebz-short"])
+    def test_lapack_failure_raises(self, monkeypatch, k_levels, info):
+        def failing(*args):  # sets INFO and leaves M, the count stebz found, at n
+            args[10 if args[0] == b"N" else 17]._obj.value = info
+
+        monkeypatch.setattr(verify_mod, "_lapack", lambda: (failing, failing))
+        with pytest.raises(ArithmeticError):
+            lapack_eigh_tridiagonal(np.arange(5.0), np.ones(4), k_levels)
+
+    def test_fallback_fd_same_bytes(self, monkeypatch):
+        solves = [(OscillatorParams.from_couplings(N, w1, w2), L) for N, w1, w2, L in CORNERS[1::3]]
+        fast = [fd_eigensolve(p, L, 6) for p, L in solves]
+        monkeypatch.setattr(verify_mod, "_lapack", lambda: None)
+        for got, (p, L) in zip(fast, solves):
+            assert fd_eigensolve(p, L, 6).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("levels, lmax", [(4, 2), (8, 8)])
+    def test_fallback_verify_same_bytes(self, monkeypatch, capsys, levels, lmax):
+        argv = ["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", str(levels),
+                "--lmax", str(lmax)]
+        assert cli.main(argv) == 0
+        fast = capsys.readouterr().out
+        monkeypatch.setattr(verify_mod, "_lapack", lambda: None)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == fast
+        if (levels, lmax) == (4, 2):
+            assert fast == GOLDEN_VERIFY.read_text()
 
 
 class TestNodeCount:
