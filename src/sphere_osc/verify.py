@@ -73,6 +73,7 @@ class QuadratureRule:
     weights: np.ndarray
     alpha: float
     beta: float
+    log_weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     weights of the eigenvector route carry relative errors up to 6e-3 at
     alpha ~ 1000, the Christoffel ones 3e-12 against mpmath.  The exponents
     lie in [0, MAX_MU], where sum(w) is within 3e-12 of the weight's mass at
-    20 nodes and at MAX_QUAD_NODES.
+    20 nodes and at MAX_QUAD_NODES.  Weights below about 1e-308 are subnormal
+    or 0; log_weights carries them, from the Christoffel sum and its shift.
     """
     n = check_int("rule size", n, 1, MAX_QUAD_NODES)
     check_real("alpha", alpha, 0.0)
@@ -197,7 +199,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     k = np.arange(1, n, dtype=float)
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
     if n == 1:
-        return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), alpha=alpha, beta=beta)
+        return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), alpha=alpha, beta=beta,
+                              log_weights=np.array([log_mu0]))
     bsq = np.empty(n - 1)
     bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     k = np.arange(2, n, dtype=float)
@@ -219,7 +222,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         p_prev, p, total = np.ldexp(p_prev, -half), np.ldexp(p, -half), np.ldexp(total, -2 * half)
         shift += 2 * half
     weights = np.ldexp(mu0 / total, -shift)
-    return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha, beta=beta)
+    return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha, beta=beta,
+                          log_weights=log_mu0 - np.log(total) - shift * _LOG2)
 
 
 def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
@@ -234,46 +238,38 @@ def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float
     )
 
 
-def _matched_rule(params: OscillatorParams, L: int, n_max: int):
-    """Gauss-Jacobi rule matched to the weight exponents of level L, sized for n_theta <= n_max.
+def _weighted_rows(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
+    """Rows a[n, k] = F_n(theta_k) sqrt(w_k m_k) of the states n_theta = 0..n_max at one L.
 
-    Under the weight the norms and overlaps are polynomials of degree <= 2 n_max,
-    which n_max + 1 nodes integrate exactly.  Returns the rule, its nodes as
-    angles theta = arccos(x), and the log measure factor at the nodes.
+    w is the n_max + 1 node Gauss-Jacobi rule matched to level L, m the sphere measure
+    over its weight.  The overlaps, polynomials of degree <= 2 n_max under that weight,
+    are exactly a @ a.T.  Each entry is exponentiated from logs, so no F^2 overflows.
     """
+    n_max = check_int("n_max", n_max, 0)
     mu1, mu2 = eigenfunctions.checked_mu(params, L)
     rule = gauss_jacobi_rule(n_max + 1, mu2, mu1)
-    return rule, np.arccos(rule.nodes), _measure_log(params, rule.nodes, mu1, mu2)
-
-
-def _norms(params: OscillatorParams, L: int, n_max: int) -> list[float]:
-    """normalization_check of the states n_theta = 0..n_max at one L, on the n_max + 1 node rule."""
-    rule, theta, measure_log = _matched_rule(params, L, n_max)
-    norms = []
-    for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta):
-        with np.errstate(over="ignore", invalid="ignore"):  # F^2 can overflow where F does not
-            integrand = np.where(sign == 0.0, 0.0, np.exp(2.0 * log_abs + measure_log))
-            norms.append(float(rule.weights @ integrand))
-    check_envelope("norm integral", np.max(norms), np.finfo(float).max)
-    return norms
+    log_root = 0.5 * (rule.log_weights + _measure_log(params, rule.nodes, mu1, mu2))
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        rows = np.array([sign * np.exp(log_abs + log_root) for log_abs, sign
+                         in eigenfunctions.log_abs_F_rows(params, L, n_max, np.arccos(rule.nodes))])
+    check_envelope("weighted F", np.abs(rows).max(), np.finfo(float).max)
+    return rows
 
 
 def normalization_check(params: OscillatorParams, qn: QuantumNumbers) -> float:
     """Quadrature value of R^N * integral sin^(N-1)(theta) F^2 dtheta (target: 1).
 
     Change of variable x = cos(theta) with the n_theta + 1 node Gauss-Jacobi
-    rule matched to the state's weight exponents (alpha = mu_L2, beta = mu_L1).
+    rule matched to the state's weight exponents (alpha = mu_L2, beta = mu_L1);
+    overlap_matrix's diagonal, valid up to the limit of F's Jacobi sweep.
     """
-    return _norms(params, qn.L, qn.n_theta)[qn.n_theta]
+    return float(np.sum(_weighted_rows(params, qn.L, qn.n_theta)[-1] ** 2))
 
 
 def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
     """Overlaps of the states n_theta = 0..n_max at fixed L (target: identity), n_max + 1 nodes."""
-    n_max = check_int("n_max", n_max, 0)
-    rule, theta, measure_log = _matched_rule(params, L, n_max)
-    a = np.array([sign * np.exp(log_abs + 0.5 * measure_log)
-                  for log_abs, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, theta)])
-    return a @ (rule.weights[:, None] * a.T)
+    a = _weighted_rows(params, L, n_max)
+    return a @ a.T
 
 
 def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarray) -> np.ndarray:
@@ -468,8 +464,8 @@ def _verify_block(params: OscillatorParams, L: int, n_values,
     """
     check_real("energy_factor", energy_factor)
     n_max = max(n_values)
-    # the mu envelope (in _norms' matched rule) and finite levels are checked before the FD solve
-    norms = _norms(params, L, n_max)
+    # the mu envelope (in the matched rule) and finite levels are checked before the FD solve
+    norms = np.sum(_weighted_rows(params, L, n_max) ** 2, axis=1).tolist()
     eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
                       * energy_factor) for n in n_values]
     fd = fd_eigensolve(params, L, n_max + 1)

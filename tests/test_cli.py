@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,31 @@ from sphere_osc import cli
 
 CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+# sha256 of a command's stdout; .github/workflows/tier1.yml pins some of them too
+STDOUT_PINS = [
+    ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200",
+     "d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504"),
+    ("spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json",
+     "7fd6a9ec76adfbb8750c283f598bd2d93fb31b9654ded0fbfd4054eabe171913"),
+    ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000",
+     "af2bc0b282b3bc406d0e95713fcbc1837e12650f08355995da3adaa876dd4676"),
+    ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000 --projected",
+     "4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73"),
+    ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12 --format json",
+     "62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1"),
+    # JSON tables of several write chunks (cli._CHUNK_ROWS rows each)
+    ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 20000 --projected --format json",
+     "efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9"),
+    ("spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json",
+     "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
+    # list columns (ints, floats, bools, None, strings) rather than arrays
+    ("verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2 --format json",
+     "ec48cde7b0ebc97f98c704af5dd60850168b9fe2f5142638e2a055fde583b4b5"),
+    ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
+     "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
+]
 
 
 def run_cli(args):
@@ -56,28 +82,7 @@ class TestSpectrumCommand:
                 "--nmax", "3", "--lmax", "2"]
         assert run_cli(args).stdout == run_cli(args).stdout
 
-    @pytest.mark.parametrize("args, digest", [
-        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200",
-         "d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504"),
-        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json",
-         "7fd6a9ec76adfbb8750c283f598bd2d93fb31b9654ded0fbfd4054eabe171913"),
-        ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000",
-         "af2bc0b282b3bc406d0e95713fcbc1837e12650f08355995da3adaa876dd4676"),
-        ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000 --projected",
-         "4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73"),
-        ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12 --format json",
-         "62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1"),
-        # JSON tables of several write chunks (cli._CHUNK_ROWS rows each)
-        ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 20000 --projected --format json",
-         "efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9"),
-        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json",
-         "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
-        # list columns (ints, floats, bools, None, strings) rather than arrays
-        ("verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2 --format json",
-         "e40457820aa759dcb9e050eec41c58d9a3ac2598e3b0a9fa0afd339b79c290eb"),
-        ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
-         "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
-    ])
+    @pytest.mark.parametrize("args, digest", STDOUT_PINS)
     def test_stdout_sha256(self, args, digest):
         res = subprocess.run(CLI + args.split(), capture_output=True)
         assert res.returncode == 0
@@ -478,3 +483,12 @@ def test_console_script_entry(monkeypatch, capsys):
         cli.run()
     assert exc.value.code == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "spectrum_dim2_free.csv").read_bytes()
+
+
+def test_workflow_pins_match_the_suite():
+    # the workflow's console-script step pins stdout bytes of its own; keep them in step here
+    text = re.sub(r"\\\n\s*", " ", WORKFLOW.read_text(encoding="utf-8"))
+    pins = re.findall(r'sphere-osc (.+?)\s*\|\s*sha256sum -c <\(echo "([0-9a-f]{64})  -"\)', text)
+    assert pins and set(pins) <= set(STDOUT_PINS)
+    goldens = re.findall(r"diff - (tests/golden/\S+)", text)
+    assert goldens and all((WORKFLOW.parents[2] / g).is_file() for g in goldens), goldens

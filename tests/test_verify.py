@@ -119,6 +119,21 @@ class TestGaussJacobiRule:
                 want = scale / ((1 - root**2) * dp**2)
                 assert abs(w - want) <= 1e-11 * want, f"x={x}"
 
+    @pytest.mark.parametrize("n, a, b", [(801, 0.5, math.hypot(0.5, 300.0)),
+                                         (461, math.hypot(0.5, 999.0), math.hypot(0.5, 999.0))],
+                             ids=["n801-beta300", "n461-mu999"])
+    def test_log_weights(self, n, a, b):
+        # the matched rules of the edge blocks below; 14 weights of the first are exactly 0
+        import mpmath as mp
+        rule = gauss_jacobi_rule(n, a, b)
+        with mp.workdps(30):
+            log_mass = float(mp.log(mp.mpf(2) ** (a + b + 1) * mp.beta(a + 1, b + 1)))
+        top = float(np.max(rule.log_weights))
+        log_sum = top + math.log(float(np.sum(np.exp(rule.log_weights - top))))
+        assert abs(log_sum - log_mass) <= 1e-11
+        normal = rule.weights >= np.finfo(float).tiny
+        assert np.max(np.abs(np.exp(rule.log_weights[normal]) / rule.weights[normal] - 1.0)) <= 1e-12
+
     def test_norm_reproduction(self):
         p = JacobiParams(2.5, 0.8)
         rule = gauss_jacobi_rule(16, p.alpha, p.beta)
@@ -145,6 +160,13 @@ class TestNormalization:
             for (n, L) in [(0, 0), (2, 1), (4, 2)]:
                 got = normalization_check(p, QuantumNumbers(n, L))
                 assert abs(got - 1.0) <= 1e-10, f"N={N} w=({w1},{w2}) state=({n},{L})"
+
+    @pytest.mark.parametrize("w1, w2, n", [(999.0, 999.0, 445), (300.0, 0.0, 800)],
+                             ids=["w999_999-n445", "w300_0-n800"])
+    def test_accepted_where_F_squared_overflows(self, w1, w2, n):
+        # F^2 times the measure overflowed before the tiny weight could scale it: RangeError
+        p = OscillatorParams.from_couplings(3, w1, w2)
+        assert abs(normalization_check(p, QuantumNumbers(n, 0)) - 1.0) <= 1e-10
 
     def test_rule_sized_from_the_states(self, monkeypatch):
         # n_max + 1 nodes integrate every P_i P_j, i, j <= n_max, exactly
@@ -196,6 +218,13 @@ class TestOverlap:
                 for L in (0, 1, 5):
                     m = overlap_matrix(p, L, 19)
                     assert np.max(np.abs(m - np.eye(20))) <= 1e-10, (N, w1, w2, L)
+
+    @pytest.mark.parametrize("w1, w2, n_max", [(300.0, 0.0, 800), (999.0, 999.0, 460)],
+                             ids=["w300_0-n800", "w999_999-n460"])
+    def test_identity_where_weights_underflow(self, w1, w2, n_max):
+        # multiplying by subnormal or zero weights left these 0.10 and 1.2e-6 off identity
+        m = overlap_matrix(OscillatorParams.from_couplings(3, w1, w2), 0, n_max)
+        assert np.max(np.abs(m - np.eye(n_max + 1))) <= 1e-10
 
     def test_trivial_size(self):
         p = OscillatorParams(N=2)
@@ -680,8 +709,6 @@ class TestInputValidation:
         (lambda: eval_F(W999_999, QuantumNumbers(600, 0), np.arange(1, 6) * math.pi / 6.0), RangeError),
         (lambda: normalization_check(W999_999, QuantumNumbers(600, 0)), RangeError),
         (lambda: node_count(W999_999, QuantumNumbers(600, 0)), RangeError),
-        # the sweep stays finite on the 446-node rule, but the norm integrand F^2 overflows
-        (lambda: normalization_check(W999_999, QuantumNumbers(445, 0)), RangeError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
             "ode_residual-nan-grid", "normalization_check-w2000",
             "verification_report-w2000", "fd_eigensolve-w2000", "gauss_jacobi_rule-beta2000",
@@ -698,8 +725,7 @@ class TestInputValidation:
             "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan",
             "spectrum_table-huge-level-count", "ode_residual-overflow-pole",
             "ode_residual-overflow-degree", "eval_F-sweep-overflow",
-            "normalization_check-sweep-overflow", "node_count-sweep-overflow",
-            "normalization_check-integrand-overflow"])
+            "normalization_check-sweep-overflow", "node_count-sweep-overflow"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
