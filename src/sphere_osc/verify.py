@@ -385,13 +385,18 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
     """Lowest k_levels dimensionless eigenvalues of the reduced operator: the FD oracle.
 
     One Richardson step over a coarse grid and a fine one of twice its points cancels the
-    O(h^2) error of either grid.  A state's width scales like 1/sqrt(mu), so coarse =
-    max(1000, ceil(100 sqrt(mu_max))) holds the extrapolated error near its value at mu = 100.
-    Each grid is bisected to a width of _BISECTION_TOL; returned ascending, in units of
-    hbar^2 / (2 m R^2).
+    O(h^2) error of either grid.  coarse = max(floor, 50 k_levels, ceil(100 sqrt(mu_max))):
+    a state's width scales like 1/sqrt(mu) and level n has n nodes, so the grid resolves
+    each level as finely as 1000 points do at mu = 100 or at 20 levels.  The floor is
+    MIN_GRID_POINTS where both pole exponents mu + 1/2 reach _MATCHED_EXPONENT_MAX, and 1000
+    where a pole takes the matched stencil, whose error does not fall steadily with the grid
+    (free trap, L = 0: 3.1e-7 at 500 points, 1.1e-7 at 700).  Each grid is bisected to a
+    width of _BISECTION_TOL; returned ascending, in units of hbar^2 / (2 m R^2).
     """
     check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
-    coarse = max(1000, math.ceil(100.0 * math.sqrt(max(eigenfunctions.checked_mu(params, L)))))
+    mu1, mu2 = eigenfunctions.checked_mu(params, L)
+    floor = MIN_GRID_POINTS if min(mu1, mu2) + 0.5 >= _MATCHED_EXPONENT_MAX else 1000
+    coarse = max(floor, 50 * k_levels, math.ceil(100.0 * math.sqrt(max(mu1, mu2))))
     fine = 2 * coarse
     scaled = []
     for points in (fine, coarse):
@@ -403,14 +408,16 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
 def _node_counts(params: OscillatorParams, L: int, n_max: int) -> list[int]:
     """node_count of the states n_theta = 0..n_max at one L.
 
-    The envelope is positive inside (0, pi), so F changes sign where its
-    polynomial factor does; the factor's zeros are skipped.  The grid is
-    built per call: as a module constant it raised the peak RSS of every
-    command that imports verify, `spectrum` too, by 0.2 MiB.
+    The envelope and the normalization are positive inside (0, pi), so F's sign
+    is that of its Jacobi polynomial, taken straight from the sweep; the
+    polynomial's zeros are skipped.  The grid is built per call: as a module
+    constant it raised the peak RSS of every command that imports verify,
+    `spectrum` too, by 0.2 MiB.
     """
-    grid = np.linspace(0.0, math.pi, 10_002)[1:-1]
+    mu1, mu2 = eigenfunctions.checked_mu(params, L)
+    x = np.cos(np.linspace(0.0, math.pi, 10_002)[1:-1])
     return [int(np.count_nonzero(np.diff(sign[sign != 0.0])))
-            for _, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, grid)]
+            for sign in map(np.sign, special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), x))]
 
 
 def node_count(params: OscillatorParams, qn: QuantumNumbers) -> int:

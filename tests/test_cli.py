@@ -38,7 +38,7 @@ STDOUT_PINS = [
      "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
     # list columns (ints, floats, bools, None, strings) rather than arrays
     ("verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2 --format json",
-     "ec48cde7b0ebc97f98c704af5dd60850168b9fe2f5142638e2a055fde583b4b5"),
+     "c9d31cc18f8cf27783f253a64b6118d66f916c1519ca7c24a5def42f74c5e4e4"),
     ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
      "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
 ]

@@ -504,15 +504,19 @@ class TestNodeCount:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_degree_shift_flagged(self, monkeypatch, k):
-        # row n carries the state of degree n + k; counted on the n_theta + 1
-        # matched-rule nodes, k = 1 went unflagged in every single-state report
-        import sphere_osc.eigenfunctions as ef
-        original = ef.log_abs_F_rows
+        # row n carries the Jacobi polynomial of degree n + k, in F and in the node
+        # counts; counted on the n_theta + 1 matched-rule nodes, k = 1 went unflagged
+        # in every single-state report
+        import sphere_osc.special as sp
+        original = sp.jacobi_sweep
 
-        def shifted(params, L, n_max, thetas, n_min=0):
-            yield from original(params, L, n_max + k, thetas, n_min + k)
+        def shifted(n, params, x):
+            rows = original(n + k, params, x)
+            for _ in range(k):
+                next(rows)
+            yield from rows
 
-        monkeypatch.setattr(ef, "log_abs_F_rows", shifted)
+        monkeypatch.setattr(sp, "jacobi_sweep", shifted)
         p = OscillatorParams.from_couplings(3, 5.0, 2.0)
         for L in range(9):
             reports = _verify_block(p, L, range(9), 1.0)
@@ -593,8 +597,19 @@ def oracle_errors(params, L, n_values):
     return [rep.oracle_energy_relerr for rep in reports]
 
 
+def richardson(params, L, k_levels, coarse):
+    """One Richardson step over single_grid_levels on coarse and 2 * coarse points."""
+    fine = 2 * coarse
+    levels = [single_grid_levels(params, L, k_levels, g) for g in (fine, coarse)]
+    return (fine**2 * levels[0] - coarse**2 * levels[1]) / (fine**2 - coarse**2)
+
+
 class TestExtrapolatedOracle:
-    """fd_eigensolve is one Richardson step over a coarse grid sized from mu and one of twice its points."""
+    """fd_eigensolve is one Richardson step over a coarse grid and one of twice its points.
+
+    The coarse grid is max(floor, 50 k_levels, ceil(100 sqrt(mu_max))): the floor is 500
+    points where both poles are sampled pointwise (mu + 1/2 >= 5/2), 1000 where one is matched.
+    """
 
     def test_verify_takes_fd_eigensolve(self):
         # the golden configuration, verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2
@@ -608,9 +623,34 @@ class TestExtrapolatedOracle:
             want = [abs(float(fd[n]) - e) / max(abs(e), 1.0) for n, e in enumerate(levels)]
             assert [rep.oracle_energy_relerr for rep in _verify_block(W5_2, L, range(5), 1.0)] == want
             assert [from_csv[n, L] for n in range(5)] == want
-            # mu <= 100 at every L: the grid floor, 1000 and 2000 points
-            fine, coarse = single_grid_levels(W5_2, L, 5, 2000), single_grid_levels(W5_2, L, 5, 1000)
-            assert np.array_equal(fd, (2000**2 * fine - 1000**2 * coarse) / (2000**2 - 1000**2))
+            # 2.06 <= mu <= 5.6 at L <= 2, no pole matched: the 500-point floor, 500 and 1000 points
+            assert fd.tobytes() == richardson(W5_2, L, 5, 500).tobytes()
+
+    @pytest.mark.parametrize("N, w1, w2, L_values, k_levels, coarse", [
+        (3, 5.0, 2.0, range(9), 9, 500),
+        # mu_2 + 1/2 < 5/2 at L 0: the matched pole keeps the 1000-point floor
+        (2, 0.3, 0.2, [0], 9, 1000),
+        (2, 0.0, 0.0, [0], 9, 1000),
+        # 50 k_levels above the floor; at MAX_FD_LEVELS 1000 points, as on a matched pole
+        (3, 5.0, 2.0, [0], 15, 750),
+        (3, 5.0, 2.0, [0], 20, 1000),
+    ], ids=["w5_2-k9", "w0.3_0.2-matched", "free-matched", "w5_2-k15", "w5_2-k20"])
+    def test_grid_rule(self, N, w1, w2, L_values, k_levels, coarse):
+        p = OscillatorParams.from_couplings(N, w1, w2)
+        for L in L_values:
+            got = fd_eigensolve(p, L, k_levels)
+            assert got.tobytes() == richardson(p, L, k_levels, coarse).tobytes(), f"L={L}"
+
+    def test_error_on_the_500_point_floor(self):
+        # 2 <= mu <= 25 at both poles: 10 levels on 500 and 1000 points
+        params = [(OscillatorParams.from_couplings(N, w1, w2), L) for N in (2, 3, 5, 8) for L in (0, 1, 3)
+                  for w1, w2 in [(2.0, 2.0), (5.0, 2.0), (0.0, 24.0), (12.0, 3.5)]]
+        blocks = [(p, L) for p, L in params if 2.0 <= min(mu(p, L, 1), mu(p, L, 2))]
+        assert len(blocks) == 43 and max(max(mu(p, L, 1), mu(p, L, 2)) for p, L in blocks) <= 25.0
+        for p, L in blocks:
+            fd = fd_eigensolve(p, L, 10)
+            errs = [rel(float(fd[n]), epsilon(p, QuantumNumbers(n, L))) for n in range(10)]
+            assert max(errs) <= 1e-7, (p, L, errs)
 
     @pytest.mark.parametrize("N, w1, w2, n_values, L_values", [
         # n_theta = 8 missed 1e-6 on one 8000-point grid at every L
