@@ -408,16 +408,14 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
 def _node_counts(params: OscillatorParams, L: int, n_max: int) -> list[int]:
     """node_count of the states n_theta = 0..n_max at one L.
 
-    The envelope and the normalization are positive inside (0, pi), so F's sign
-    is that of its Jacobi polynomial, taken straight from the sweep; the
-    polynomial's zeros are skipped.  The grid is built per call: as a module
-    constant it raised the peak RSS of every command that imports verify,
-    `spectrum` too, by 0.2 MiB.
+    The envelope is positive inside (0, pi), so F changes sign where its
+    polynomial factor does; the factor's zeros are skipped.  The grid is
+    built per call: as a module constant it raised the peak RSS of every
+    command that imports verify, `spectrum` too, by 0.2 MiB.
     """
-    mu1, mu2 = eigenfunctions.checked_mu(params, L)
-    x = np.cos(np.linspace(0.0, math.pi, 10_002)[1:-1])
+    grid = np.linspace(0.0, math.pi, 10_002)[1:-1]
     return [int(np.count_nonzero(np.diff(sign[sign != 0.0])))
-            for sign in map(np.sign, special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), x))]
+            for _, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, grid)]
 
 
 def node_count(params: OscillatorParams, qn: QuantumNumbers) -> int:

@@ -504,9 +504,20 @@ class TestNodeCount:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_degree_shift_flagged(self, monkeypatch, k):
-        # row n carries the Jacobi polynomial of degree n + k, in F and in the node
-        # counts; counted on the n_theta + 1 matched-rule nodes, k = 1 went unflagged
-        # in every single-state report
+        # row n carries the state of degree n + k; counted on the n_theta + 1
+        # matched-rule nodes, k = 1 went unflagged in every single-state report
+        import sphere_osc.eigenfunctions as ef
+        original = ef.log_abs_F_rows
+
+        def shifted(params, L, n_max, thetas, n_min=0):
+            yield from original(params, L, n_max + k, thetas, n_min + k)
+
+        monkeypatch.setattr(ef, "log_abs_F_rows", shifted)
+        self.assert_shift_flagged(k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sweep_degree_shift_flagged(self, monkeypatch, k):
+        # the same shift one layer down: row n of every Jacobi sweep has degree n + k
         import sphere_osc.special as sp
         original = sp.jacobi_sweep
 
@@ -517,6 +528,10 @@ class TestNodeCount:
             yield from rows
 
         monkeypatch.setattr(sp, "jacobi_sweep", shifted)
+        self.assert_shift_flagged(k)
+
+    @staticmethod
+    def assert_shift_flagged(k):
         p = OscillatorParams.from_couplings(3, 5.0, 2.0)
         for L in range(9):
             reports = _verify_block(p, L, range(9), 1.0)
@@ -671,11 +686,12 @@ class TestExtrapolatedOracle:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(N=st.integers(2, 6), L=st.integers(0, 6),
            w1=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
-           w2=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
-    def test_contract_over_the_envelope(self, N, L, w1, w2):
+           w2=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), k=st.integers(1, MAX_FD_LEVELS))
+    def test_contract_over_the_envelope(self, N, L, w1, w2, k):
+        # the grids follow k below MAX_FD_LEVELS, so every k of the envelope is drawn
         p = OscillatorParams.from_couplings(N, w1, w2)
         assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
-        reports = _verify_block(p, L, range(20), 1.0)
+        reports = _verify_block(p, L, range(k), 1.0)
         assert all(rep.passed for rep in reports), [rep for rep in reports if not rep.passed]
 
     # the corners of MAX_MU: on a fixed 2000-point grid, with stebz's default
