@@ -13,17 +13,15 @@ import contextlib
 import math
 import os
 import sys
+from itertools import chain
 
 # Nothing the CLI runs uses threaded BLAS, yet an idle OpenBLAS pool spins on every core.
 # OpenBLAS reads this variable over OMP_NUM_THREADS, so it is left alone when that is set.
+# Commands import numpy only where they run (`spectrum` never), so this precedes every import.
 if "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import spectrum as spectrum_mod
-from . import verify as verify_mod
-from .eigenfunctions import checked_mu, conformal_factor, eval_F, r_from_theta
 from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
@@ -55,10 +53,23 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def r_from_theta(R, theta):
+    """`eigenfunctions.r_from_theta`, imported on the first call.
+
+    A module attribute that `wavefunction --projected` calls through, so
+    `bench/tracer.py` can count its calls without `cli` importing numpy.
+    """
+    from .eigenfunctions import r_from_theta
+
+    return r_from_theta(R, theta)
+
+
 def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
     """Write the table to --out, or to sys.stdout as found at the call, in chunks of rows.
 
     A format is a head, a row template with one `%` slot per column, a separator and a tail.
+    An array column (numpy or array.array, anything with `tolist`) holds numbers; the
+    other columns hold cells.
     """
     if fmt == "csv":
         head, row, sep, tail = ",".join(header) + "\n", ",".join(["{}"] * len(header)) + "\n", "", ""
@@ -69,16 +80,23 @@ def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
         head, tail = json.dumps({"config": config, "rows": [None]}, indent=2).rsplit("null", 1)
         row = "{{" + ",".join(f"\n      {json.dumps(key)}: {{}}" for key in header) + "\n    }}"
         sep, tail, number, cell = ",\n    ", tail + "\n", "%r", json.dumps
-    # an array's slot takes `number` over its values, a list's takes `%s` over its cells
-    row = row.format(*(number if isinstance(col, np.ndarray) else "%s" for col in columns))
+
+    def slot(col):  # an array's slot takes `number` over its values, a list's `%s` over its cells
+        if not hasattr(col, "tolist"):
+            return "%s"
+        return "%d" if getattr(col, "typecode", None) == "q" else number  # int64 array.array
+
+    row = row.format(*map(slot, columns))
     try:
         fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
         with contextlib.nullcontext(fh) if out is None else fh:
             fh.write(head)
             for start in range(0, len(columns[0]), _CHUNK_ROWS):
                 cells = (col[start:start + _CHUNK_ROWS] for col in columns)
-                cells = (c.tolist() if isinstance(c, np.ndarray) else map(cell, c) for c in cells)
-                fh.write((sep if start else "") + sep.join(row % r for r in zip(*cells)))
+                cells = (c.tolist() if hasattr(c, "tolist") else map(cell, c) for c in cells)
+                # one template for the chunk's rows, filled by one `%` over all its cells
+                flat = tuple(chain.from_iterable(zip(*cells)))
+                fh.write((sep if start else "") + sep.join([row] * (len(flat) // len(columns))) % flat)
             fh.write(tail)
             fh.flush()
     except OSError as exc:
@@ -164,6 +182,10 @@ def _cmd_wavefunction(args) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
     check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
+    import numpy as np
+
+    from .eigenfunctions import conformal_factor, eval_F
+
     qn = QuantumNumbers(args.ntheta, args.l)
     config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
               "grid": args.grid, "projected": bool(args.projected), "format": args.format}
@@ -183,6 +205,9 @@ def _cmd_verify(args) -> int:
     config = {"command": "verify", **config, "levels": args.levels, "lmax": args.lmax,
               "perturb_energy": args.perturb_energy, "format": args.format}
     factor = 1.0 + args.perturb_energy
+    from . import verify as verify_mod
+    from .eigenfunctions import checked_mu
+
     # the caps and the mu envelope (mu grows with L) are checked before the first block
     check_int("--levels", args.levels, hi=verify_mod.MAX_FD_LEVELS - 1)
     checked_mu(params, args.lmax)
@@ -214,6 +239,8 @@ def _cmd_euclid_limit(args) -> int:
     config = {"command": "euclid-limit", "dim": eparams.N, "omega": eparams.omega,
               "chi": eparams.chi, "mass": eparams.m, "hbar": eparams.hbar,
               "nr": qn.n_theta, "l": qn.L, "radii": radii, "format": args.format}
+
+    from . import verify as verify_mod
 
     table = verify_mod.euclidean_limit_scan(eparams, qn, radii)
     R, e_errs, w_errs = (list(col) for col in zip(*table))

@@ -12,8 +12,6 @@ import math
 import sys
 from numbers import Integral
 
-import numpy as np
-
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
@@ -59,11 +57,13 @@ def check_range(name: str, x, lo: float, hi: float, closed: bool = True):
     if isinstance(x, (int, float)):
         inside = lo <= x <= hi if closed else lo < x < hi
     else:
+        import numpy as np  # only an array argument needs it
+
         x = np.asarray(x, dtype=float)
         inside = np.all((lo <= x) & (x <= hi) if closed else (lo < x) & (x < hi))
     if not inside:
         left, right = "[]" if closed else "()"
-        got = f", got {x!r}" if np.ndim(x) == 0 else ""
+        got = f", got {x!r}" if getattr(x, "ndim", 0) == 0 else ""
         raise DomainError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}{got}")
     return x
 

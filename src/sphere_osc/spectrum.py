@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import NamedTuple
-
-import numpy as np
 
 from . import model
 from .errors import RangeError, check_envelope, check_int
@@ -15,12 +15,15 @@ MAX_LEVELS = 10**6
 
 
 class SpectrumTable(NamedTuple):
-    """Levels sorted by (energy, L, n_theta), one array per column; epsilon = energy / unit."""
+    """Levels sorted by (energy, L, n_theta), one array.array per column; epsilon = energy / unit.
 
-    n_theta: np.ndarray
-    L: np.ndarray
-    epsilon: np.ndarray
-    energy: np.ndarray
+    n_theta and L hold int64 ('q'), epsilon and energy doubles ('d').
+    """
+
+    n_theta: array
+    L: array
+    epsilon: array
+    energy: array
 
 
 def _coupling_shift(params: OscillatorParams, L: int, k: int) -> float:
@@ -29,29 +32,32 @@ def _coupling_shift(params: OscillatorParams, L: int, k: int) -> float:
     return w * (w / (model.mu(params, L, k) + model.half_index(params.N, L))) if w else 0.0
 
 
-def _certified_levels(params: OscillatorParams, n, L_values, unit: float) -> np.ndarray:
-    """Levels (see `epsilon`) on the grid L_values x n, L terms once per L.
+def _certified_levels(params: OscillatorParams, n_values, L_values, unit: float):
+    """Levels (see `epsilon`) and energies as two 'd' arrays on the grid L_values x n_values, L-major.
 
-    No term cancels another, so a level keeps full precision until it
-    overflows.  numpy's elementwise + - * round as Python floats do: the
-    scalar route is the 1 x 1 grid.  RangeError names the first (n_theta, L),
-    L-major, whose level is not finite as an energy, which implies finite as
-    epsilon, the unit being finite and positive.
+    The L terms are formed once per L.  No term cancels another, so a level
+    keeps full precision until it overflows.  Each term is a float, n_theta
+    and L included, so a level rounds alike in every caller.  RangeError names
+    the first (n_theta, L), L-major, whose level is not finite as an energy,
+    which implies finite as epsilon, the unit being finite and positive.
     """
     N = params.N
-    lr, half, d1, d2 = np.array([(model.reduce_L(N, L), model.half_index(N, L),
-                                  _coupling_shift(params, L, 1), _coupling_shift(params, L, 2))
-                                 for L in L_values]).T[:, :, None]
-    with np.errstate(over="ignore"):  # an overflow is reported below instead
-        eps = (n + lr) * (n + lr + (N - 1)) + (n + 0.5 + 0.5 * half) * (d1 + d2) + 0.5 * d1 * d2
-        bad = ~np.isfinite(eps * unit)
-    if bad.any():
-        L = np.array(L_values)[:, None]
-        bad, n, L, e = (np.ravel(x) for x in np.broadcast_arrays(bad, n, L, eps))
-        i = int(np.argmax(bad))
-        raise RangeError(f"energy of (n_theta, L) = ({n[i]}, {L[i]}) is not finite: "
-                         f"epsilon {float(e[i])!r}, energy unit {unit!r}")
-    return eps
+    nm1, nf = float(N - 1), [float(n) for n in n_values]
+    eps, energies = array("d"), array("d")
+    for L in L_values:
+        lr, hh = float(model.reduce_L(N, L)), 0.5 * model.half_index(N, L)
+        d1, d2 = _coupling_shift(params, L, 1), _coupling_shift(params, L, 2)
+        s, p = d1 + d2, 0.5 * d1 * d2
+        # (n + L)(n + L + N - 1) + (n + 1/2 + h/2)(d1 + d2) + d1 d2 / 2, grouped as written
+        block = [(a := n + lr) * (a + nm1) + (n + 0.5 + hh) * s + p for n in nf]
+        block_energies = [e * unit for e in block]
+        if not all(map(math.isfinite, block_energies)):
+            i = next(i for i, e in enumerate(block_energies) if not math.isfinite(e))
+            raise RangeError(f"energy of (n_theta, L) = ({n_values[i]}, {L}) is not finite: "
+                             f"epsilon {block[i]!r}, energy unit {unit!r}")
+        eps.fromlist(block)
+        energies.fromlist(block_energies)
+    return eps, energies
 
 
 def epsilon(params: OscillatorParams, qn: QuantumNumbers) -> float:
@@ -62,13 +68,12 @@ def epsilon(params: OscillatorParams, qn: QuantumNumbers) -> float:
     plus (n + 1/2 + h/2)(d1 + d2) + d1 d2 / 2 with d_k = mu_k - h.  A level that
     is not finite raises RangeError.
     """
-    return float(_certified_levels(params, qn.n_theta, [qn.L], 1.0)[0, 0])
+    return _certified_levels(params, [qn.n_theta], [qn.L], 1.0)[0][0]
 
 
 def energy(params: OscillatorParams, qn: QuantumNumbers) -> float:
     """Energy eigenvalue E_{n_theta, L} of the general potential."""
-    unit = params.energy_unit
-    return float(_certified_levels(params, qn.n_theta, [qn.L], unit)[0, 0]) * unit
+    return _certified_levels(params, [qn.n_theta], [qn.L], params.energy_unit)[1][0]
 
 
 def energy_euclidean(eparams: EuclideanParams, n_r: int, L: int) -> float:
@@ -88,8 +93,11 @@ def spectrum_table(params: OscillatorParams, n_max: int, L_max: int) -> Spectrum
     L_max = check_int("L_max", L_max, 0)
     # as floats the count is inf, not an OverflowError, past 1e308
     check_envelope("levels", (n_max + 1.0) * (L_max + 1.0), MAX_LEVELS)
-    unit = params.energy_unit
-    eps = _certified_levels(params, np.arange(n_max + 1), range(L_max + 1), unit).ravel()
-    L, n = np.divmod(np.arange(eps.size), n_max + 1)
-    order = np.lexsort((n, L, eps * unit))
-    return SpectrumTable(n[order], L[order], eps[order], eps[order] * unit)
+    unit, width = params.energy_unit, n_max + 1
+    eps, energies = _certified_levels(params, range(width), range(L_max + 1), unit)
+    # the levels come L-major with n_theta ascending, so a stable sort on energy
+    # leaves tied levels in (L, n_theta) order
+    order = sorted(range(len(energies)), key=energies.__getitem__)
+    eps = array("d", map(eps.__getitem__, order))
+    return SpectrumTable(array("q", [i % width for i in order]), array("q", [i // width for i in order]),
+                         eps, array("d", [e * unit for e in eps]))

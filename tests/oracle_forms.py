@@ -1,9 +1,11 @@
 """Closed forms kept only as independent oracles for the tests.
 
-The product forms of the energy levels cancel terms of size w^2/4, so the
-package returns the expanded forms and the tests compare the two.  The
-terminating hypergeometric series and the Jacobi norm check the recurrences
-and the quadrature rule.  The mpmath eigenfunctions (half-angle, projected
+`numpy_levels` is the level route the package ran on numpy arrays; the
+plain-float route must match it bit for bit.  The product forms of the
+energy levels cancel terms of size w^2/4, so the package returns the
+expanded forms and the tests compare the two.  The terminating
+hypergeometric series and the Jacobi norm check the recurrences and the
+quadrature rule.  The mpmath eigenfunctions (half-angle, projected
 in r, and the Gegenbauer form of the symmetric trap) check eval_F and
 project_to_plane.
 """
@@ -12,10 +14,35 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from sphere_osc.errors import check_int, check_range, check_real
-from sphere_osc.model import half_index, reduce_L
+from sphere_osc.errors import RangeError, check_int, check_range, check_real
+from sphere_osc.model import OscillatorParams, half_index, reduce_L
 from sphere_osc.special import JacobiParams, log_gamma
+from sphere_osc.spectrum import _coupling_shift
+
+
+def numpy_levels(params: OscillatorParams, n, L_values, unit: float) -> np.ndarray:
+    """Levels on the grid L_values x n (n an int or an integer array), as numpy rounds them.
+
+    The same terms in the same order as `spectrum._certified_levels`, with
+    each L's terms lifted to float64 and broadcast over n.  RangeError names
+    the first (n_theta, L), L-major, whose level is not finite as an energy.
+    """
+    N = params.N
+    lr, half, d1, d2 = np.array([(reduce_L(N, L), half_index(N, L),
+                                  _coupling_shift(params, L, 1), _coupling_shift(params, L, 2))
+                                 for L in L_values]).T[:, :, None]
+    with np.errstate(over="ignore"):  # an overflow is reported below instead
+        eps = (n + lr) * (n + lr + (N - 1)) + (n + 0.5 + 0.5 * half) * (d1 + d2) + 0.5 * d1 * d2
+        bad = ~np.isfinite(eps * unit)
+    if bad.any():
+        L = np.array(L_values)[:, None]
+        bad, n, L, e = (np.ravel(x) for x in np.broadcast_arrays(bad, n, L, eps))
+        i = int(np.argmax(bad))
+        raise RangeError(f"energy of (n_theta, L) = ({n[i]}, {L[i]}) is not finite: "
+                         f"epsilon {float(e[i])!r}, energy unit {unit!r}")
+    return eps
 
 
 def epsilon_product(N: int, n: int, mu1: float, mu2: float, w1: float, w2: float) -> float:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphere_osc.verify
 from oracle_forms import mp_epsilon
 from sphere_osc import cli
 
@@ -396,7 +397,7 @@ assert loaded == [], loaded
 """
 
 
-@pytest.mark.skipif(cli.verify_mod._lapack() is None,
+@pytest.mark.skipif(sphere_osc.verify._lapack() is None,
                     reason="numpy bundles no scipy-openblas64 LAPACK; verify solves through scipy")
 def test_no_cli_command_loads_scipy():
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
@@ -418,6 +419,34 @@ assert "scipy" not in sys.modules
 
 def test_rejected_verify_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", _REJECTED_VERIFY_PROBE], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+# Runs in a fresh interpreter with no thread variables set: `spectrum`, its errors and
+# a usage error load no numpy; `verify` does, after the CLI's OpenBLAS default is in place.
+_NUMPY_PROBE = """
+import contextlib, io, os, sys
+from sphere_osc.cli import main
+
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv, code in [
+        (["spectrum", "--dim", "3", "--w1", "5", "--w2", "2"], 0),
+        (["spectrum", "--dim", "3", "--w1", "5", "--w2", "2", "--format", "json"], 0),
+        (["spectrum", "--dim", "3", "--w1", "1e300", "--w2", "1e300"], 3),
+        (["spectrum", "--dim", "3", "--nmax", "-1"], 2),
+    ]:
+        assert main(argv) == code, argv
+        assert "numpy" not in sys.modules, argv
+    assert main(["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", "1", "--lmax", "0"]) == 0
+assert "numpy" in sys.modules
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+"""
+
+
+def test_spectrum_loads_no_numpy():
+    res = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=_env_without_thread_vars(),
+                         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 
 

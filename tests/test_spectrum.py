@@ -11,6 +11,7 @@ from oracle_forms import (
     epsilon_product_equal_omegas,
     epsilon_product_omega2_zero,
     mp_epsilon,
+    numpy_levels,
 )
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import (
@@ -312,3 +313,59 @@ class TestUncertifiedLevels:
         assert len(spectrum_table(free(2), n_max, 1).epsilon) == MAX_LEVELS
         with pytest.raises(RangeError):
             spectrum_table(free(2), n_max + 1, 1)
+
+
+_WIDE_COUPLING = st.one_of(st.just(0.0), st.floats(math.log(1e-4), math.log(1e300)).map(math.exp))
+
+
+@st.composite
+def _wide_level_cases(draw):
+    N = draw(st.integers(2, 8))
+    R = draw(st.one_of(st.just(1.0), st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)))
+    params = OscillatorParams.from_couplings(N, draw(_WIDE_COUPLING), draw(_WIDE_COUPLING), R=R)
+    # n_theta of up to 80 bits, every bit random: past 2^53 a level rounds n_theta + L, and
+    # hypothesis's own integers there are mostly powers of two or near one
+    n = draw(st.randoms(use_true_random=True)).randint(0, 2**draw(st.integers(0, 80)))
+    qn = QuantumNumbers(n, draw(st.integers(-10**6 if N == 2 else 0, 10**6)))
+    return params, qn, draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+
+def _outcome(call):
+    """A call's value as bits (a table's columns as lists of them), or its RangeError's message."""
+    try:
+        value = call()
+    except RangeError as exc:
+        return str(exc)
+    if isinstance(value, float):
+        return _bits([value])
+    return [col.tolist() for col in value[:2]] + [_bits(col) for col in value[2:]]
+
+
+def _numpy_table(params, n_max, L_max):
+    unit = params.energy_unit
+    eps = numpy_levels(params, np.arange(n_max + 1), range(L_max + 1), unit).ravel()
+    L, n = np.divmod(np.arange(eps.size), n_max + 1)
+    order = np.lexsort((n, L, eps * unit))
+    return n[order], L[order], eps[order], eps[order] * unit
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wide_level_cases())
+# as ints, n_theta + L = 2^60 + 129 rounds up to 2^60 + 256; as floats 2^60 + 128 rounds
+# to 2^60 first, so the level moves
+@example((free(3), QuantumNumbers(2**60 + 128, 1), 0, 0))
+@example((OscillatorParams.from_couplings(3, 1e300, 1e300), QuantumNumbers(0, 0), 1, 1))
+@example((OscillatorParams(N=3, R=1e-154), QuantumNumbers(1, 1), 2, 1))
+def test_levels_match_the_numpy_form(case):
+    """epsilon, energy and spectrum_table equal the numpy route bit for bit, or raise as it does."""
+    params, qn, n_max, L_max = case
+    unit = params.energy_unit
+    pairs = [
+        (lambda: epsilon(params, qn),
+         lambda: float(numpy_levels(params, qn.n_theta, [qn.L], 1.0)[0, 0])),
+        (lambda: energy(params, qn),
+         lambda: float(numpy_levels(params, qn.n_theta, [qn.L], unit)[0, 0]) * unit),
+        (lambda: spectrum_table(params, n_max, L_max), lambda: _numpy_table(params, n_max, L_max)),
+    ]
+    for call, oracle in pairs:
+        assert _outcome(call) == _outcome(oracle)
