@@ -39,16 +39,17 @@ def checked_mu(params: OscillatorParams, L: int) -> tuple[float, float]:
     return mu1, mu2
 
 
-def _log_prefactor_halfangle(params: OscillatorParams, qn: QuantumNumbers):
-    """Log of the positive normalization constant of the half-angle form.
+def _exponents(params: OscillatorParams, L: int) -> tuple[float, float, float, float]:
+    """(mu1, mu2, e0, e1) of level L: the weight exponents and the sin(theta/2), cos(theta/2) powers."""
+    mu1, mu2 = checked_mu(params, L)
+    return mu1, mu2, mu2 - 0.5 * params.N + 1.0, mu1 - 0.5 * params.N + 1.0
 
-    Returns (log_norm, e0, e1, mu1, mu2) with e0/e1 the sin(theta/2) and
-    cos(theta/2) exponents.
-    """
-    mu1, mu2 = checked_mu(params, qn.L)
-    n, N = qn.n_theta, params.N
+
+def _log_norm(params: OscillatorParams, n: int, mu1: float, mu2: float) -> float:
+    """Log of the positive normalization constant C_n of the half-angle form."""
+    N = params.N
     lg = special.log_gamma
-    log_norm = 0.5 * (
+    return 0.5 * (
         lg(n + 1.0)
         + math.log(2.0 * n + mu1 + mu2 + 1.0)
         + lg(n + mu1 + mu2 + 1.0)
@@ -57,9 +58,6 @@ def _log_prefactor_halfangle(params: OscillatorParams, qn: QuantumNumbers):
         - lg(n + mu1 + 1.0)
         - lg(n + mu2 + 1.0)
     )
-    e0 = mu2 - 0.5 * N + 1.0
-    e1 = mu1 - 0.5 * N + 1.0
-    return log_norm, e0, e1, mu1, mu2
 
 
 def _endpoint_value(exponent: float, log_rest: float, sign: float) -> float:
@@ -88,8 +86,9 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta):
     overflows the double range raises RangeError.
     """
     th = _points("theta", theta, 0.0, math.pi)
-    log_norm, e0, e1, mu1, mu2 = _log_prefactor_halfangle(params, qn)
     n = qn.n_theta
+    mu1, mu2, e0, e1 = _exponents(params, qn.L)
+    log_norm = _log_norm(params, n, mu1, mu2)
     log_p1 = special.jacobi_log_endpoint(n, JacobiParams(mu2, mu1))
     log_pm1 = special.jacobi_log_endpoint(n, JacobiParams(mu1, mu2))
     north = 0.5 * th == 0.0  # sin(theta/2) = 0: the pole, and the least subnormal theta
@@ -103,9 +102,8 @@ def eval_F(params: OscillatorParams, qn: QuantumNumbers, theta):
     return _like(values, theta)
 
 
-def _envelope_terms(prefactor, th: np.ndarray):
+def _envelope_terms(e0: float, e1: float, th: np.ndarray):
     """The sin(theta/2) and cos(theta/2) power terms of log|F|; they do not depend on n_theta."""
-    _, e0, e1, _, _ = prefactor
     return e0 * np.log(np.sin(0.5 * th)), e1 * np.log(np.cos(0.5 * th))
 
 
@@ -127,13 +125,12 @@ def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas, n_min: 
     cost only their step of the sweep.
     """
     th = check_range("thetas", np.asarray(thetas, dtype=float), 0.0, math.pi, closed=False)
-    prefactor = _log_prefactor_halfangle(params, QuantumNumbers(0, L))
-    _, _, _, mu1, mu2 = prefactor
-    sin_term, cos_term = _envelope_terms(prefactor, th)
+    mu1, mu2, e0, e1 = _exponents(params, L)
+    sin_term, cos_term = _envelope_terms(e0, e1, th)
     polys = special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), np.cos(th))
     for n, poly in enumerate(polys):
         if n >= n_min:
-            log_norm = _log_prefactor_halfangle(params, QuantumNumbers(n, L))[0]
+            log_norm = _log_norm(params, n, mu1, mu2)
             with np.errstate(divide="ignore"):
                 log_abs = log_norm + sin_term + cos_term + np.log(np.abs(poly))
             yield log_abs, np.sign(poly)

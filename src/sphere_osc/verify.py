@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenfunctions, model, special, spectrum
-from .errors import DomainError, RangeError, check_envelope, check_int, check_range, check_real
+from .errors import DomainError, check_envelope, check_int, check_real
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 from .special import JacobiParams, log_gamma
 
@@ -46,11 +46,6 @@ MAX_GRID_POINTS = 29_000
 _BISECTION_TOL = 1.0e-10
 
 _ODE_GRID = np.linspace(0.05, math.pi - 0.05, 101)
-# Nearer theta = 0 the residual's terms (1/sin^2, the envelope's log-derivative
-# squared, times P_n(1)) overflow: over mu <= MAX_MU the worst state, mu_2 = 1000,
-# stays finite to 1e-122 at n_theta = 30 (1e-79 at 100).  A double comes no
-# closer to pi than 4.4e-16.
-_ODE_THETA_MIN = 1.0e-120
 
 # The reduced eigenfunction behaves like (distance)^p at a pole, p = mu + 1/2.
 # Pointwise sampling of the inverse-square potential converges like
@@ -71,19 +66,7 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    alpha: float
-    beta: float
     log_weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Symmetric tridiagonal discretization of the reduced quasi-radial operator."""
-
-    grid: np.ndarray
-    diagonal: np.ndarray
-    offdiag: np.ndarray
-    unit: float
 
 
 @dataclass(frozen=True)
@@ -199,8 +182,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     k = np.arange(1, n, dtype=float)
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
     if n == 1:
-        return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), alpha=alpha, beta=beta,
-                              log_weights=np.array([log_mu0]))
+        return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), log_weights=np.array([log_mu0]))
     bsq = np.empty(n - 1)
     bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     k = np.arange(2, n, dtype=float)
@@ -222,8 +204,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         p_prev, p, total = np.ldexp(p_prev, -half), np.ldexp(p, -half), np.ldexp(total, -2 * half)
         shift += 2 * half
     weights = np.ldexp(mu0 / total, -shift)
-    return QuadratureRule(nodes=nodes, weights=weights, alpha=alpha, beta=beta,
-                          log_weights=log_mu0 - np.log(total) - shift * _LOG2)
+    return QuadratureRule(nodes=nodes, weights=weights, log_weights=log_mu0 - np.log(total) - shift * _LOG2)
 
 
 def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
@@ -272,10 +253,10 @@ def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
     return a @ a.T
 
 
-def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarray) -> np.ndarray:
+def _ode_residuals(params: OscillatorParams, L: int, n_values, eps) -> np.ndarray:
     """ode_residual of each n_theta in n_values at one L, tested against the level eps[i]."""
-    prefactor = eigenfunctions._log_prefactor_halfangle(params, QuantumNumbers(0, L))
-    _, e0, e1, mu1, mu2 = prefactor
+    mu1, mu2, e0, e1 = eigenfunctions._exponents(params, L)
+    th = _ODE_GRID
     rows, x = np.asarray(n_values), np.cos(th)
     # a sweep row that overflows raises RangeError; a term that overflows (P_n grows like
     # binom(n + mu, n)) makes its residual NaN, rejected below
@@ -296,7 +277,7 @@ def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarr
         eps = np.asarray(eps, dtype=float)[:, None]
         terms = [(g_tt + g_t**2) * p + 2.0 * g_t * p_t + p_tt,
                  (params.N - 1.0) / np.tan(th) * (g_t * p + p_t), -u_pot * p, eps * p]
-        log_env = sum(eigenfunctions._envelope_terms(prefactor, th))
+        log_env = sum(eigenfunctions._envelope_terms(e0, e1, th))
         # the floor is inf where the envelope is negligible against max|F|: that point weighs nothing
         log_max = np.max(log_env + np.log(np.abs(p)), axis=1, keepdims=True)
         floor = np.maximum(1.0, np.abs(eps)) * np.exp(log_max - log_env)
@@ -306,25 +287,17 @@ def _ode_residuals(params: OscillatorParams, L: int, n_values, eps, th: np.ndarr
     return residuals
 
 
-def ode_residual(params: OscillatorParams, qn: QuantumNumbers,
-                 theta_grid=None, energy: float | None = None) -> float:
-    """Worst normalized residual of the quasi-radial equation over a grid.
+def ode_residual(params: OscillatorParams, qn: QuantumNumbers) -> float:
+    """Worst normalized residual of the quasi-radial equation on 101 points of [0.05, pi - 0.05].
 
     F = C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) with s, c = sin, cos(theta/2), so
     each term of F'' + (N-1) cot(theta) F' - U F + eps F is formed exactly,
     divided by C s^e0 c^e1: the envelope through its log-derivative, P_n
     through d/dx P_n^(a,b) = (n+a+b+1)/2 P_(n-1)^(a+1,b+1) (DLMF 18.9.15).
     Each point's residual is scaled by its largest term, floored at
-    max(1, |eps|) max|F|.  `energy` overrides the closed-form level.  Grid
-    points closer than _ODE_THETA_MIN to theta = 0 raise RangeError.
+    max(1, |eps|) max|F|.
     """
-    th = np.asarray(_ODE_GRID if theta_grid is None else theta_grid, dtype=float)
-    check_range("theta_grid", th, 0.0, math.pi, closed=False)
-    if th.min() < _ODE_THETA_MIN:
-        raise RangeError(f"theta_grid point {float(th.min())!r} is closer to theta = 0 "
-                         f"than {_ODE_THETA_MIN:g}, where the residual's terms overflow")
-    eps = spectrum.epsilon(params, qn) if energy is None else energy / params.energy_unit
-    return float(_ode_residuals(params, qn.L, [qn.n_theta], [eps], th)[0])
+    return float(_ode_residuals(params, qn.L, [qn.n_theta], [spectrum.epsilon(params, qn)])[0])
 
 
 def _apply_matched_end(diagonal: np.ndarray, dist: np.ndarray, h: float,
@@ -349,8 +322,9 @@ def _apply_matched_end(diagonal: np.ndarray, dist: np.ndarray, h: float,
         diagonal[0] += 1.0 / h**2
 
 
-def build_discretized_operator(params: OscillatorParams, L: int, grid_points: int) -> DiscretizedOperator:
-    """Symmetric tridiagonal matrix of the reduced operator on a cell-centered grid.
+def build_discretized_operator(params: OscillatorParams, L: int,
+                               grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, offdiag) of the symmetric tridiagonal reduced operator on a cell-centered grid.
 
     The first-derivative term is removed by the substitution
     G = sin^((N-1)/2)(theta) * F; the pole behavior theta^(mu + 1/2) is
@@ -376,9 +350,7 @@ def build_discretized_operator(params: OscillatorParams, L: int, grid_points: in
     diagonal = 2.0 / h**2 + u_full
     _apply_matched_end(diagonal, th, h, mu2 + 0.5, mu2 * mu2 - 0.25)
     _apply_matched_end(diagonal[::-1], (math.pi - th)[::-1], h, mu1 + 0.5, mu1 * mu1 - 0.25)
-    offdiag = np.full(n_pts - 1, -1.0 / h**2)
-    return DiscretizedOperator(grid=th, diagonal=diagonal, offdiag=offdiag,
-                               unit=params.energy_unit)
+    return diagonal, np.full(n_pts - 1, -1.0 / h**2)
 
 
 def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray:
@@ -400,8 +372,7 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
     fine = 2 * coarse
     scaled = []
     for points in (fine, coarse):
-        op = build_discretized_operator(params, L, points)
-        scaled.append(points**2 * eigh_tridiagonal(op.diagonal, op.offdiag, k_levels))
+        scaled.append(points**2 * eigh_tridiagonal(*build_discretized_operator(params, L, points), k_levels))
     return (scaled[0] - scaled[1]) / (fine**2 - coarse**2)
 
 
@@ -444,6 +415,8 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers,
     radii = [check_real("R", float(r), 0.0, strict=True) for r in R_values]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("R_values must be nonempty and strictly ascending")
+    # mu_1 grows with R and mu_2 = chi stays fixed: the largest radius bounds both, checked first
+    eigenfunctions.checked_mu(model.finite_radius_params(eparams, radii[-1]), qn.L)
     e_flat = spectrum.energy_euclidean(eparams, qn.n_theta, qn.L)
     r_max = 4.0 * math.sqrt(eparams.hbar / (eparams.m * eparams.omega))
     rs = np.linspace(0.0, r_max, 65)[1:]
@@ -475,7 +448,7 @@ def _verify_block(params: OscillatorParams, L: int, n_values,
                       * energy_factor) for n in n_values]
     fd = fd_eigensolve(params, L, n_max + 1)
     nodes = _node_counts(params, L, n_max)
-    residuals = _ode_residuals(params, L, n_values, eps, _ODE_GRID)
+    residuals = _ode_residuals(params, L, n_values, eps)
     return [VerificationReport(
         state=QuantumNumbers(n, L),
         normalization_error=abs(norms[n] - 1.0),

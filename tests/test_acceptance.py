@@ -49,6 +49,7 @@ from sphere_osc.verify import (
     normalization_check,
     ode_residual,
     overlap_matrix,
+    verification_report,
 )
 
 GRID_NS = (2, 3, 5)
@@ -97,8 +98,8 @@ def state_checks(combos):
                 "nodes": node_count(params, qn),
             }
             if eps != 0.0:
-                perturbed = eps * 1.001 * params.energy_unit
-                entry["resid_perturbed"] = ode_residual(params, qn, energy=perturbed)
+                entry["resid_perturbed"] = verification_report(
+                    params, qn, energy_factor=1.001).max_ode_residual
             out[(params, qn)] = entry
     return out
 

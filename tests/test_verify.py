@@ -233,15 +233,15 @@ class TestOverlap:
         assert abs(m[0, 0] - 1.0) <= 1e-12
 
 
-def stencil_ode_residual(params, qn, theta_grid=None, energy=None):
+def stencil_ode_residual(params, qn):
     """ode_residual with the derivatives of F taken numerically, as an independent oracle.
 
     Richardson-extrapolated central differences with a step adapted to the
     local curvature scale and kept a quarter of the distance from the poles;
     same equation, per-point scale and floor as ode_residual.
     """
-    th = np.linspace(0.05, math.pi - 0.05, 101) if theta_grid is None else np.asarray(theta_grid)
-    eps = epsilon(params, qn) if energy is None else energy / params.energy_unit
+    th = np.linspace(0.05, math.pi - 0.05, 101)
+    eps = epsilon(params, qn)
     lr = reduce_L(params.N, qn.L)
     u_pot = (
         lr * (lr + params.N - 2.0) / np.sin(th) ** 2
@@ -272,9 +272,10 @@ class TestOdeResidual:
                 assert got <= 1e-8, f"{residual.__name__} ({n},{L}) N={N}: {got:.2e}"
 
     def test_envelope_underflows_on_the_grid(self):
-        # F underflows to 0 at theta = 2.27 (mu_1 = 900); the stencil's floor is 0 there
+        # F underflows to 0 on the grid's 28 points from theta = 2.27 (mu_1 = 900);
+        # the stencil's floor is 0 there
         p = OscillatorParams.from_couplings(3, 900.0, 1.0)
-        got = ode_residual(p, QuantumNumbers(0, 0), [2.27])
+        got = ode_residual(p, QuantumNumbers(0, 0))
         assert math.isfinite(got) and got <= 1e-8
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -287,44 +288,24 @@ class TestOdeResidual:
         for n in range(6):
             qn = QuantumNumbers(n, L)
             assert ode_residual(p, qn) <= 1e-8
-            e = energy(p, qn)
             if abs(epsilon(p, qn)) >= 1.0:
-                assert ode_residual(p, qn, energy=e * 1.001) >= 1e-4
+                assert verification_report(p, qn, energy_factor=1.001).max_ode_residual >= 1e-4
 
     def test_perturbed_energy_detected(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        qn = QuantumNumbers(0, 0)
-        e = energy(p, qn)
-        assert ode_residual(p, qn, energy=e * 1.001) >= 1e-4
-
-    def test_grid_domain(self):
-        p = OscillatorParams(N=2)
-        with pytest.raises(DomainError):
-            ode_residual(p, QuantumNumbers(0, 0), theta_grid=[0.0, 1.0])
-
-    def test_grid_near_the_pole(self):
-        # 1/sin^2 and the envelope's log-derivative overflowed here: NaN with a warning
-        p = OscillatorParams.from_couplings(3, 5.0, 2.0)
-        with pytest.raises(RangeError):
-            ode_residual(p, QuantumNumbers(2, 1), [1e-300])
-        # the measured worst state of the envelope at the bound, and the pi side
-        assert ode_residual(OscillatorParams.from_couplings(3, 999.0, 999.0),
-                            QuantumNumbers(30, 0), [1e-120]) <= 1e-8
-        assert ode_residual(p, QuantumNumbers(2, 1), [1e-120, math.pi - 4.4e-16]) <= 1e-8
+        assert verification_report(p, QuantumNumbers(0, 0), energy_factor=1.001).max_ode_residual >= 1e-4
 
     def test_derivative_sweeps_stop_at_their_last_row(self):
-        # the rows P_n^(mu+1) and P_(n-1), P_n^(mu+2) are never used, and they overflow
-        # here while every row the residual takes stays finite
+        # the row P_n^(mu+1) is never used, and it overflows at theta = 0.05 while
+        # every row the residual takes stays finite
         assert ode_residual(OscillatorParams.from_couplings(3, 999.0, 999.0),
-                            QuantumNumbers(293, 0), [0.05]) <= 1e-8
-        assert ode_residual(OscillatorParams.from_couplings(3, 0.0, 998.0),
-                            QuantumNumbers(427, 0), [1.0]) <= 1e-8
+                            QuantumNumbers(293, 0)) <= 1e-8
 
 
 def single_grid_levels(params, L, k_levels, grid_points):
     """Lowest k_levels eigenvalues of the discretized operator on one grid, bisected as the oracle's."""
-    op = build_discretized_operator(params, L, grid_points)
-    return eigh_tridiagonal(op.diagonal, op.offdiag, eigvals_only=True, select="i",
+    diagonal, offdiag = build_discretized_operator(params, L, grid_points)
+    return eigh_tridiagonal(diagonal, offdiag, eigvals_only=True, select="i",
                             select_range=(0, k_levels - 1), lapack_driver="stebz", tol=_BISECTION_TOL)
 
 
@@ -335,11 +316,10 @@ def fd_eigenvectors(params, L, k_levels, grid_points):
     R^N * sum sin^(N-1)(theta_i) F_i^2 h = 1 and sign-aligned to be positive
     at the grid point nearest theta = pi/2.
     """
-    op = build_discretized_operator(params, L, grid_points)
-    vals, vecs = eigh_tridiagonal(op.diagonal, op.offdiag,
+    vals, vecs = eigh_tridiagonal(*build_discretized_operator(params, L, grid_points),
                                   select="i", select_range=(0, k_levels - 1))
-    th = op.grid
-    h = th[1] - th[0]
+    h = math.pi / grid_points
+    th = (np.arange(grid_points) + 0.5) * h
     f = vecs.T / np.sin(th) ** (0.5 * (params.N - 1.0))
     norm = params.R ** params.N * h * np.sum(np.sin(th) ** (params.N - 1) * f * f, axis=1)
     f /= np.sqrt(norm)[:, None]
@@ -370,15 +350,10 @@ class TestFdEigensolve:
 
     def test_operator_structure(self):
         p = OscillatorParams.from_couplings(2, 1.0, 0.0)
-        op = build_discretized_operator(p, 0, 600)
-        assert op.grid.shape == (600,)
-        assert np.all(np.diff(op.grid) > 0.0)
-        h = op.grid[1] - op.grid[0]
-        assert rel(op.grid[0], 0.5 * h) <= 1e-12
-        assert op.diagonal.shape == (600,)
-        assert op.offdiag.shape == (599,)
-        assert np.allclose(op.offdiag, -1.0 / h**2)
-        assert rel(op.unit, p.energy_unit) <= 1e-15
+        diagonal, offdiag = build_discretized_operator(p, 0, 600)
+        assert diagonal.shape == (600,)
+        assert offdiag.shape == (599,)
+        assert np.allclose(offdiag, -1.0 / (math.pi / 600) ** 2)
 
     def test_bisection_tolerance_at_the_mu_cap(self):
         # stebz's default tolerance, eps * |T|_1, grows with the pole rows: at mu = MAX_MU
@@ -427,8 +402,7 @@ class TestEighTridiagonal:
         p = OscillatorParams.from_couplings(N, w1, w2)
         coarse = max(1000, math.ceil(100.0 * math.sqrt(max(mu(p, L, 1), mu(p, L, 2)))))
         for points in (coarse, 2 * coarse):
-            op = build_discretized_operator(p, L, points)
-            got = lapack_eigh_tridiagonal(op.diagonal, op.offdiag, MAX_FD_LEVELS)
+            got = lapack_eigh_tridiagonal(*build_discretized_operator(p, L, points), MAX_FD_LEVELS)
             assert got.tobytes() == single_grid_levels(p, L, MAX_FD_LEVELS, points).tobytes()
 
     @needs_lapack
@@ -573,6 +547,18 @@ class TestEuclideanScan:
         with pytest.raises(DomainError):
             euclidean_limit_scan(EuclideanParams(N=2, omega=0.0, chi=1.0), qn, [1.0, 2.0])
 
+    @pytest.mark.parametrize("chi, radii", [(1.5, [1.0, 2.0, 20.0]), (1e7, [1.0, 2.0, 3.0])],
+                             ids=["mu1-at-the-last-radius", "mu2-from-chi"])
+    def test_mu_envelope_before_any_evaluation(self, monkeypatch, chi, radii):
+        # before, the flat function (2.8 s at n_r = 100000) and the first projections ran,
+        # and chi = 1e7 was rejected as the Laguerre parameter a
+        calls = []
+        monkeypatch.setattr(verify_mod.eigenfunctions, "eval_f_euclidean",
+                            lambda *args: calls.append(args))
+        with pytest.raises(RangeError, match="^mu="):
+            euclidean_limit_scan(EuclideanParams(N=3, omega=1.0, chi=chi), QuantumNumbers(0, 0), radii)
+        assert calls == []
+
 
 class TestGammaRatioLimit:
     def test_asymptotic_ratio(self):
@@ -699,6 +685,9 @@ class TestExtrapolatedOracle:
     @pytest.mark.parametrize("N, w1, w2, L", [
         (2, 1000.0, 0.0, 0), (3, 0.0, 998.0, 0), (3, 999.0, 999.0, 0), (3, 900.0, 1.0, 0),
         (5, 300.0, 700.0, 3), (2, 316.0, 0.0, 0),
+        # mu = 1000 from N alone: the n_theta = 0 level, where eps = 0 and the diagonal's
+        # mu^2 terms cancel, read 9.5e-7 and 3.6e-7 against the 1e-6 bound
+        (2002, 0.0, 0.0, 0), (2000, 0.0, 0.0, 1),
     ])
     def test_envelope_corners(self, N, w1, w2, L):
         reports = _verify_block(OscillatorParams.from_couplings(N, w1, w2), L, range(20), 1.0)
@@ -720,7 +709,6 @@ class TestInputValidation:
     @pytest.mark.parametrize("call, error", [
         (lambda: spectrum_table(W5_2, 1.5, 0), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, 2.5), DomainError),
-        (lambda: ode_residual(W5_2, QuantumNumbers(0, 0), [math.nan]), DomainError),
         (lambda: normalization_check(W2000, QuantumNumbers(0, 0)), RangeError),
         (lambda: verification_report(W2000, QuantumNumbers(0, 0)), RangeError),
         (lambda: fd_eigensolve(W2000, 0, 1), RangeError),
@@ -756,17 +744,15 @@ class TestInputValidation:
         (lambda: theta_from_r(1.0, np.array([1.0, math.nan])), DomainError),
         # a level count past 1e308 is inf as a float, not an OverflowError
         (lambda: spectrum_table(W5_2, 10**200, 10**200), RangeError),
-        # P_n(1) grows like binom(n + mu, n): the residual's terms overflow ("overflow
-        # encountered in multiply" before), near the pole and at n_theta = 400 inside
-        (lambda: ode_residual(W999_999, QuantumNumbers(100, 0), [1e-100]), RangeError),
-        (lambda: ode_residual(W999_999, QuantumNumbers(400, 0), [0.3]), RangeError),
+        # P_n grows like binom(n + mu, n): at n_theta = 400 its sweep overflows on the grid
+        (lambda: ode_residual(W999_999, QuantumNumbers(400, 0)), RangeError),
         # the Jacobi sweep of n_theta = 600 overflows: before, each warned (the suite's
         # error::RuntimeWarning filter raises those), then gave F = nan, a nan norm and 5636 nodes
         (lambda: eval_F(W999_999, QuantumNumbers(600, 0), np.arange(1, 6) * math.pi / 6.0), RangeError),
         (lambda: normalization_check(W999_999, QuantumNumbers(600, 0)), RangeError),
         (lambda: node_count(W999_999, QuantumNumbers(600, 0)), RangeError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
-            "ode_residual-nan-grid", "normalization_check-w2000",
+            "normalization_check-w2000",
             "verification_report-w2000", "fd_eigensolve-w2000", "gauss_jacobi_rule-beta2000",
             "gauss_jacobi_rule-negative-alpha", "fd_eigensolve-float-L",
             "energy_euclidean-float-L", "eval_f_euclidean-r-inf", "gauss_jacobi_rule-nodes-cap",
@@ -779,8 +765,7 @@ class TestInputValidation:
             "eval_f_euclidean-huge-n_r", "eval_F-array-negative-theta",
             "eval_f_euclidean-array-r-inf", "eval_F-array-nan", "project_to_plane-array-nan",
             "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan",
-            "spectrum_table-huge-level-count", "ode_residual-overflow-pole",
-            "ode_residual-overflow-degree", "eval_F-sweep-overflow",
+            "spectrum_table-huge-level-count", "ode_residual-overflow-degree", "eval_F-sweep-overflow",
             "normalization_check-sweep-overflow", "node_count-sweep-overflow"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
