@@ -42,6 +42,7 @@ from sphere_osc.special import (
 )
 from sphere_osc.spectrum import epsilon
 from sphere_osc.verify import (
+    _verify_block,
     euclidean_limit_scan,
     fd_eigensolve,
     loglog_slope,
@@ -49,7 +50,6 @@ from sphere_osc.verify import (
     normalization_check,
     ode_residual,
     overlap_matrix,
-    verification_report,
 )
 
 GRID_NS = (2, 3, 5)
@@ -88,6 +88,7 @@ def state_checks(combos):
     """Per-state oracle results shared by criteria 3, 4, 5, and 6."""
     out = {}
     for params, ang in combos:
+        perturbed = _verify_block(params, ang, range(N_THETA_MAX + 1), 1.001)
         for n in range(N_THETA_MAX + 1):
             qn = QuantumNumbers(n, ang)
             eps = epsilon(params, qn)
@@ -98,8 +99,7 @@ def state_checks(combos):
                 "nodes": node_count(params, qn),
             }
             if eps != 0.0:
-                entry["resid_perturbed"] = verification_report(
-                    params, qn, energy_factor=1.001).max_ode_residual
+                entry["resid_perturbed"] = perturbed[n].max_ode_residual
             out[(params, qn)] = entry
     return out
 

@@ -285,21 +285,25 @@ class TestOdeResidual:
     def test_contract_over_the_envelope(self, N, L, w1, w2):
         p = OscillatorParams.from_couplings(N, w1, w2)
         assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
+        perturbed = _verify_block(p, L, range(6), 1.001)
         for n in range(6):
             qn = QuantumNumbers(n, L)
             assert ode_residual(p, qn) <= 1e-8
             if abs(epsilon(p, qn)) >= 1.0:
-                assert verification_report(p, qn, energy_factor=1.001).max_ode_residual >= 1e-4
+                assert perturbed[n].max_ode_residual >= 1e-4
 
     def test_perturbed_energy_detected(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
         assert verification_report(p, QuantumNumbers(0, 0), energy_factor=1.001).max_ode_residual >= 1e-4
 
     def test_derivative_sweeps_stop_at_their_last_row(self):
-        # the row P_n^(mu+1) is never used, and it overflows at theta = 0.05 while
-        # every row the residual takes stays finite
+        # the unused rows P_n^(mu+1) (first state) and P_(n-1)^(mu+2) (second state,
+        # where P_n^(mu+1) stays finite) overflow on the grid while every row the
+        # residual takes stays finite
         assert ode_residual(OscillatorParams.from_couplings(3, 999.0, 999.0),
                             QuantumNumbers(293, 0)) <= 1e-8
+        assert ode_residual(OscillatorParams.from_couplings(3, 300.0, 300.0),
+                            QuantumNumbers(957, 0)) <= 1e-8
 
 
 def single_grid_levels(params, L, k_levels, grid_points):
