@@ -212,9 +212,8 @@ def _cmd_verify(args) -> int:
     check_int("--levels", args.levels, hi=verify_mod.MAX_FD_LEVELS - 1)
     checked_mu(params, args.lmax)
 
-    n_values = list(range(args.levels + 1))
     reports = [rep for L in range(args.lmax + 1)
-               for rep in verify_mod._verify_block(params, L, n_values, factor)]
+               for rep in verify_mod.verification_report(params, L, args.levels, energy_factor=factor)]
 
     rows = [(rep.state.n_theta, rep.state.L, rep.normalization_error, rep.max_ode_residual,
              rep.oracle_energy_relerr, rep.node_count_match, rep.passed) for rep in reports]

@@ -62,11 +62,14 @@ _MATCHED_WINDOW = math.pi / 16.0
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule for the weight (1-x)^alpha (1+x)^beta on (-1, 1)."""
+    """Gauss rule for the weight (1-x)^alpha (1+x)^beta on (-1, 1); its weights are exp(log_weights)."""
 
     nodes: np.ndarray
-    weights: np.ndarray
     log_weights: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.exp(self.log_weights)
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     weights of the eigenvector route carry relative errors up to 6e-3 at
     alpha ~ 1000, the Christoffel ones 3e-12 against mpmath.  The exponents
     lie in [0, MAX_MU], where sum(w) is within 3e-12 of the weight's mass at
-    20 nodes and at MAX_QUAD_NODES.  Weights below about 1e-308 are subnormal
-    or 0; log_weights carries them, from the Christoffel sum and its shift.
+    20 nodes and at MAX_QUAD_NODES.  The rule holds log_weights, from the
+    Christoffel sum and its shift; weights below about 1e-308 are subnormal or 0.
     """
     n = check_int("rule size", n, 1, MAX_QUAD_NODES)
     check_real("alpha", alpha, 0.0)
@@ -175,14 +178,13 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     apb = alpha + beta
     # total mass of the weight: 2^(a+b+1) * B(a+1, b+1)
     log_mu0 = (apb + 1.0) * _LOG2 + log_gamma(alpha + 1.0) + log_gamma(beta + 1.0) - log_gamma(apb + 2.0)
-    mu0 = math.exp(log_mu0)
 
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (apb + 2.0)
     k = np.arange(1, n, dtype=float)
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
     if n == 1:
-        return QuadratureRule(nodes=diag.copy(), weights=np.array([mu0]), log_weights=np.array([log_mu0]))
+        return QuadratureRule(nodes=diag.copy(), log_weights=np.array([log_mu0]))
     bsq = np.empty(n - 1)
     bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     k = np.arange(2, n, dtype=float)
@@ -203,8 +205,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         half = np.frexp(total)[1] // 2
         p_prev, p, total = np.ldexp(p_prev, -half), np.ldexp(p, -half), np.ldexp(total, -2 * half)
         shift += 2 * half
-    weights = np.ldexp(mu0 / total, -shift)
-    return QuadratureRule(nodes=nodes, weights=weights, log_weights=log_mu0 - np.log(total) - shift * _LOG2)
+    return QuadratureRule(nodes=nodes, log_weights=log_mu0 - np.log(total) - shift * _LOG2)
 
 
 def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
@@ -237,14 +238,14 @@ def _weighted_rows(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
     return rows
 
 
-def normalization_check(params: OscillatorParams, qn: QuantumNumbers) -> float:
-    """Quadrature value of R^N * integral sin^(N-1)(theta) F^2 dtheta (target: 1).
+def normalization_check(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
+    """Quadrature values of R^N * integral sin^(N-1)(theta) F_n^2 dtheta, n = 0..n_max (target: 1).
 
-    Change of variable x = cos(theta) with the n_theta + 1 node Gauss-Jacobi
-    rule matched to the state's weight exponents (alpha = mu_L2, beta = mu_L1);
+    Change of variable x = cos(theta) with the n_max + 1 node Gauss-Jacobi
+    rule matched to level L's weight exponents (alpha = mu_L2, beta = mu_L1);
     overlap_matrix's diagonal, valid up to the limit of F's Jacobi sweep.
     """
-    return float(np.sum(_weighted_rows(params, qn.L, qn.n_theta)[-1] ** 2))
+    return np.sum(_weighted_rows(params, L, n_max) ** 2, axis=1)
 
 
 def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
@@ -253,19 +254,28 @@ def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
     return a @ a.T
 
 
-def _ode_residuals(params: OscillatorParams, L: int, n_values, eps) -> np.ndarray:
-    """ode_residual of each n_theta in n_values at one L, tested against the level eps[i]."""
+def ode_residual(params: OscillatorParams, L: int, levels) -> np.ndarray:
+    """Worst normalized residual of the quasi-radial equation of F_n against eps = levels[n].
+
+    n = 0..len(levels) - 1 at one L, on the 101 points of [0.05, pi - 0.05].
+    F = C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) with s, c = sin, cos(theta/2), so
+    each term of F'' + (N-1) cot(theta) F' - U F + eps F is formed exactly,
+    divided by C s^e0 c^e1: the envelope through its log-derivative, P_n
+    through d/dx P_n^(a,b) = (n+a+b+1)/2 P_(n-1)^(a+1,b+1) (DLMF 18.9.15).
+    Each point's residual is scaled by its largest term, floored at
+    max(1, |eps|) max|F|.
+    """
     mu1, mu2, e0, e1 = eigenfunctions._exponents(params, L)
     th = _ODE_GRID
-    rows, x = np.asarray(n_values), np.cos(th)
+    n_max, x = check_int("len(levels)", len(levels), 1) - 1, np.cos(th)
     # a sweep row that overflows raises RangeError; a term that overflows (P_n grows like
     # binom(n + mu, n)) makes its residual NaN, rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x), zero where n < k
-        p, q1, q2 = (np.pad(list(special.jacobi_sweep(max(int(rows.max()) - k, 0),
+        p, q1, q2 = (np.pad(list(special.jacobi_sweep(max(n_max - k, 0),
                                                       JacobiParams(mu2 + k, mu1 + k), x)),
-                            ((k, 0), (0, 0)))[rows] for k in range(3))
-        s = rows[:, None] + mu1 + mu2 + 1.0
+                            ((k, 0), (0, 0)))[:n_max + 1] for k in range(3))
+        s = np.arange(n_max + 1)[:, None] + mu1 + mu2 + 1.0
         p_x, p_xx = 0.5 * s * q1, 0.25 * s * (s + 1.0) * q2
         sin_th, tan_half = np.sin(th), np.tan(0.5 * th)
         p_t, p_tt = -sin_th * p_x, sin_th**2 * p_xx - x * p_x
@@ -274,7 +284,7 @@ def _ode_residuals(params: OscillatorParams, L: int, n_values, eps) -> np.ndarra
         lr = model.reduce_L(params.N, L)
         u_pot = (lr * (lr + params.N - 2.0) / sin_th**2
                  + 0.25 * params.w1**2 * tan_half**2 + 0.25 * params.w2**2 / tan_half**2)
-        eps = np.asarray(eps, dtype=float)[:, None]
+        eps = np.asarray(levels, dtype=float)[:, None]
         terms = [(g_tt + g_t**2) * p + 2.0 * g_t * p_t + p_tt,
                  (params.N - 1.0) / np.tan(th) * (g_t * p + p_t), -u_pot * p, eps * p]
         log_env = sum(eigenfunctions._envelope_terms(e0, e1, th))
@@ -285,19 +295,6 @@ def _ode_residuals(params: OscillatorParams, L: int, n_values, eps) -> np.ndarra
         residuals = np.max(np.abs(sum(terms)) / scale, axis=1)
     check_envelope("ODE residual", residuals.max(), np.finfo(float).max)
     return residuals
-
-
-def ode_residual(params: OscillatorParams, qn: QuantumNumbers) -> float:
-    """Worst normalized residual of the quasi-radial equation on 101 points of [0.05, pi - 0.05].
-
-    F = C s^e0 c^e1 P_n^(mu2,mu1)(cos theta) with s, c = sin, cos(theta/2), so
-    each term of F'' + (N-1) cot(theta) F' - U F + eps F is formed exactly,
-    divided by C s^e0 c^e1: the envelope through its log-derivative, P_n
-    through d/dx P_n^(a,b) = (n+a+b+1)/2 P_(n-1)^(a+1,b+1) (DLMF 18.9.15).
-    Each point's residual is scaled by its largest term, floored at
-    max(1, |eps|) max|F|.
-    """
-    return float(_ode_residuals(params, qn.L, [qn.n_theta], [spectrum.epsilon(params, qn)])[0])
 
 
 def _apply_matched_end(diagonal: np.ndarray, dist: np.ndarray, h: float,
@@ -376,8 +373,8 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
     return (scaled[0] - scaled[1]) / (fine**2 - coarse**2)
 
 
-def _node_counts(params: OscillatorParams, L: int, n_max: int) -> list[int]:
-    """node_count of the states n_theta = 0..n_max at one L.
+def node_count(params: OscillatorParams, L: int, n_max: int) -> list[int]:
+    """Sign changes of F_n, n = 0..n_max, on 10 000 equispaced interior points of (0, pi).
 
     The envelope is positive inside (0, pi), so F changes sign where its
     polynomial factor does; the factor's zeros are skipped.  The grid is
@@ -387,11 +384,6 @@ def _node_counts(params: OscillatorParams, L: int, n_max: int) -> list[int]:
     grid = np.linspace(0.0, math.pi, 10_002)[1:-1]
     return [int(np.count_nonzero(np.diff(sign[sign != 0.0])))
             for _, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, grid)]
-
-
-def node_count(params: OscillatorParams, qn: QuantumNumbers) -> int:
-    """Sign changes of the eigenfunction on 10 000 equispaced interior points of (0, pi)."""
-    return _node_counts(params, qn.L, qn.n_theta)[qn.n_theta]
 
 
 def loglog_slope(xs, ys) -> float:
@@ -430,41 +422,28 @@ def euclidean_limit_scan(eparams: EuclideanParams, qn: QuantumNumbers,
     return table
 
 
-def _verify_block(params: OscillatorParams, L: int, n_values,
-                  energy_factor: float) -> list[VerificationReport]:
-    """Run every oracle against the states n_theta in n_values at one L.
+def verification_report(params: OscillatorParams, L: int, n_max: int, *,
+                        energy_factor: float = 1.0) -> list[VerificationReport]:
+    """Run every oracle against the states n_theta = 0..n_max at one L.
 
-    The FD oracle, the matched quadrature rule (exact with max(n_values) + 1
-    nodes) and the Jacobi sweeps on the quadrature, node-count and residual
-    grids are built once per block and shared by all n_theta; nothing is
-    evaluated per state, and normalization_check and node_count are rows of
-    the same helpers.
+    Each stage covers the whole block: the norms of the n_max + 1 node matched rule, the FD
+    oracle (its grids sized from mu, see fd_eigensolve), the node counts and the ODE
+    residuals.  `energy_factor` multiplies the closed-form levels before the residual and
+    oracle comparisons (the perturbation detector hook).
     """
+    n_max = check_int("n_max", n_max, 0, MAX_FD_LEVELS - 1)
     check_real("energy_factor", energy_factor)
-    n_max = max(n_values)
     # the mu envelope (in the matched rule) and finite levels are checked before the FD solve
-    norms = np.sum(_weighted_rows(params, L, n_max) ** 2, axis=1).tolist()
-    eps = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
-                      * energy_factor) for n in n_values]
+    norms = normalization_check(params, L, n_max).tolist()
+    levels = [check_real("perturbed level", spectrum.epsilon(params, QuantumNumbers(n, L))
+                         * energy_factor) for n in range(n_max + 1)]
     fd = fd_eigensolve(params, L, n_max + 1)
-    nodes = _node_counts(params, L, n_max)
-    residuals = _ode_residuals(params, L, n_values, eps)
+    nodes = node_count(params, L, n_max)
+    residuals = ode_residual(params, L, levels)
     return [VerificationReport(
         state=QuantumNumbers(n, L),
         normalization_error=abs(norms[n] - 1.0),
-        max_ode_residual=float(resid),
+        max_ode_residual=float(residuals[n]),
         oracle_energy_relerr=abs(float(fd[n]) - e) / max(abs(e), 1.0),
         node_count_match=nodes[n] == n,
-    ) for n, e, resid in zip(n_values, eps, residuals)]
-
-
-def verification_report(params: OscillatorParams, qn: QuantumNumbers, *,
-                        energy_factor: float = 1.0) -> VerificationReport:
-    """Run every oracle against one state and collect the outcome.
-
-    The FD oracle sizes its grids from mu (see fd_eigensolve); the norm
-    integral uses the exact n_theta + 1 node matched rule.
-    `energy_factor` multiplies the closed-form level before the residual and
-    oracle comparisons (the perturbation detector hook).
-    """
-    return _verify_block(params, qn.L, [qn.n_theta], energy_factor)[0]
+    ) for n, e in enumerate(levels)]

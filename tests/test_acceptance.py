@@ -42,14 +42,11 @@ from sphere_osc.special import (
 )
 from sphere_osc.spectrum import epsilon
 from sphere_osc.verify import (
-    _verify_block,
     euclidean_limit_scan,
     fd_eigensolve,
     loglog_slope,
-    node_count,
-    normalization_check,
-    ode_residual,
     overlap_matrix,
+    verification_report,
 )
 
 GRID_NS = (2, 3, 5)
@@ -88,19 +85,19 @@ def state_checks(combos):
     """Per-state oracle results shared by criteria 3, 4, 5, and 6."""
     out = {}
     for params, ang in combos:
-        perturbed = _verify_block(params, ang, range(N_THETA_MAX + 1), 1.001)
-        for n in range(N_THETA_MAX + 1):
-            qn = QuantumNumbers(n, ang)
-            eps = epsilon(params, qn)
+        reports = verification_report(params, ang, N_THETA_MAX)
+        perturbed = verification_report(params, ang, N_THETA_MAX, energy_factor=1.001)
+        for rep, rep_perturbed in zip(reports, perturbed):
+            eps = epsilon(params, rep.state)
             entry = {
                 "eps": eps,
-                "norm_err": abs(normalization_check(params, qn) - 1.0),
-                "resid": ode_residual(params, qn),
-                "nodes": node_count(params, qn),
+                "norm_err": rep.normalization_error,
+                "resid": rep.max_ode_residual,
+                "nodes_match": rep.node_count_match,
             }
             if eps != 0.0:
-                entry["resid_perturbed"] = perturbed[n].max_ode_residual
-            out[(params, qn)] = entry
+                entry["resid_perturbed"] = rep_perturbed.max_ode_residual
+            out[(params, rep.state)] = entry
     return out
 
 
@@ -166,9 +163,8 @@ def test_criterion_4_ode_residual_and_detector(state_checks):
              ok, f"max residual {worst:.2e}, weakest detection {detector:.2e}")
 
 
-def test_criterion_5_node_counts(state_checks):
-    bad = [(qn.n_theta, qn.L, entry["nodes"])
-           for (_, qn), entry in state_checks.items() if entry["nodes"] != qn.n_theta]
+def test_criterion_5_node_count(state_checks):
+    bad = [(qn.n_theta, qn.L) for (_, qn), entry in state_checks.items() if not entry["nodes_match"]]
     _verdict(5, "each state shows exactly n_theta sign changes",
              not bad, f"{len(bad)} mismatches" if bad else "180 states")
 
@@ -185,7 +181,7 @@ def test_criterion_6_free_particle_reduction(state_checks):
         exact = exact and entry["eps"] == want
         # the free eigenfunctions must clear the same norm/residual/node gates
         exact = exact and entry["norm_err"] <= 1e-10 and entry["resid"] <= 1e-8
-        exact = exact and entry["nodes"] == qn.n_theta
+        exact = exact and entry["nodes_match"]
         for theta in (0.7, 1.9):
             gegen = mp_eval_F_gegenbauer(params.N, qn.n_theta, qn.L, 0.0, theta)
             worst_gegen = max(worst_gegen, rel(gegen, eval_F(params, qn, theta)))

@@ -36,7 +36,7 @@ class TestHalfAngleForm:
         vals = eval_F(p, qn, np.linspace(0.2, math.pi - 0.2, 9))
         want = 1.0 / math.sqrt(2.0) / 1.3
         assert np.max(np.abs(vals - want)) <= 1e-14
-        assert rel(normalization_check(p, qn), 1.0) <= 1e-12
+        assert rel(normalization_check(p, 0, 0)[0], 1.0) <= 1e-12
 
     def test_forms_agree_at_midpoint(self):
         p = OscillatorParams.from_couplings(3, 2.0, 0.5)
@@ -98,7 +98,7 @@ class TestHalfAngleForm:
         for (N, w1, w2, R) in [(2, 1.0, 1.0, 1.0), (3, 5.0, 2.0, 2.0), (5, 1.0, 0.0, 0.7)]:
             p = OscillatorParams.from_couplings(N, w1, w2, R=R)
             for (n, L) in [(0, 0), (3, 1), (2, 2)]:
-                assert abs(normalization_check(p, QuantumNumbers(n, L)) - 1.0) <= 1e-10
+                assert abs(normalization_check(p, L, n)[n] - 1.0) <= 1e-10
 
     def test_rows_match_single_states(self):
         p = OscillatorParams.from_couplings(3, 5.0, 2.0)
@@ -110,10 +110,9 @@ class TestHalfAngleForm:
             assert np.array_equal(log_abs, want_log)
             assert np.array_equal(sign, want_sign)
 
-    def test_node_counts(self):
+    def test_node_count_rows(self):
         p = OscillatorParams.from_couplings(3, 2.0, 1.0)
-        for n in range(6):
-            assert node_count(p, QuantumNumbers(n, 1)) == n
+        assert node_count(p, 1, 5) == list(range(6))
 
 
 _COUPLING = st.one_of(st.just(0.0), st.floats(-3.0, math.log10(999.0)).map(lambda e: 10.0**e))

@@ -34,7 +34,6 @@ from sphere_osc.verify import (
     MAX_QUAD_NODES,
     ORACLE_TOL,
     _BISECTION_TOL,
-    _verify_block,
     build_discretized_operator,
     eigh_tridiagonal as lapack_eigh_tridiagonal,
     euclidean_limit_scan,
@@ -58,6 +57,11 @@ def rel(a, b):
 
 def log_beta(a, b):
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def closed_form_levels(params, L, n_max):
+    """The closed-form levels of n_theta = 0..n_max at one L, as ode_residual takes them."""
+    return [epsilon(params, QuantumNumbers(n, L)) for n in range(n_max + 1)]
 
 
 class TestGaussJacobiRule:
@@ -131,8 +135,6 @@ class TestGaussJacobiRule:
         top = float(np.max(rule.log_weights))
         log_sum = top + math.log(float(np.sum(np.exp(rule.log_weights - top))))
         assert abs(log_sum - log_mass) <= 1e-11
-        normal = rule.weights >= np.finfo(float).tiny
-        assert np.max(np.abs(np.exp(rule.log_weights[normal]) / rule.weights[normal] - 1.0)) <= 1e-12
 
     def test_norm_reproduction(self):
         p = JacobiParams(2.5, 0.8)
@@ -152,13 +154,13 @@ class TestGaussJacobiRule:
 class TestNormalization:
     def test_free_ground_state(self):
         p = OscillatorParams(N=2)
-        assert abs(normalization_check(p, QuantumNumbers(0, 0)) - 1.0) <= 1e-12
+        assert abs(normalization_check(p, 0, 0)[0] - 1.0) <= 1e-12
 
     def test_general_grid(self):
         for (N, w1, w2) in [(2, 1.0, 1.0), (3, 5.0, 2.0), (5, 1.0, 0.0), (4, 0.0, 0.0)]:
             p = OscillatorParams.from_couplings(N, w1, w2, R=1.4)
             for (n, L) in [(0, 0), (2, 1), (4, 2)]:
-                got = normalization_check(p, QuantumNumbers(n, L))
+                got = normalization_check(p, L, n)[n]
                 assert abs(got - 1.0) <= 1e-10, f"N={N} w=({w1},{w2}) state=({n},{L})"
 
     @pytest.mark.parametrize("w1, w2, n", [(999.0, 999.0, 445), (300.0, 0.0, 800)],
@@ -166,7 +168,7 @@ class TestNormalization:
     def test_accepted_where_F_squared_overflows(self, w1, w2, n):
         # F^2 times the measure overflowed before the tiny weight could scale it: RangeError
         p = OscillatorParams.from_couplings(3, w1, w2)
-        assert abs(normalization_check(p, QuantumNumbers(n, 0)) - 1.0) <= 1e-10
+        assert abs(normalization_check(p, 0, n)[n] - 1.0) <= 1e-10
 
     def test_rule_sized_from_the_states(self, monkeypatch):
         # n_max + 1 nodes integrate every P_i P_j, i, j <= n_max, exactly
@@ -180,10 +182,10 @@ class TestNormalization:
 
         monkeypatch.setattr(vf, "gauss_jacobi_rule", recording)
         p = OscillatorParams.from_couplings(3, 5.0, 2.0)
-        normalization_check(p, QuantumNumbers(3, 1))
+        normalization_check(p, 1, 3)
         overlap_matrix(p, 1, 6)
-        verification_report(p, QuantumNumbers(2, 0))
-        _verify_block(p, 0, [0, 4, 7], 1.0)
+        verification_report(p, 0, 2)
+        verification_report(p, 0, 7)
         assert sizes == [4, 7, 3, 8]
 
     def test_quadratic_in_the_input(self, monkeypatch):
@@ -191,7 +193,6 @@ class TestNormalization:
         import sphere_osc.eigenfunctions as ef
         import sphere_osc.verify as vf
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        qn = QuantumNumbers(1, 0)
         original = ef.log_abs_F_rows
 
         def doubled(params, L, n_max, thetas, n_min=0):
@@ -199,7 +200,7 @@ class TestNormalization:
                 yield log_abs + math.log(2.0), sign
 
         monkeypatch.setattr(vf.eigenfunctions, "log_abs_F_rows", doubled)
-        assert rel(normalization_check(p, qn), 4.0) <= 1e-10
+        assert rel(normalization_check(p, 0, 1)[1], 4.0) <= 1e-10
 
 
 class TestOverlap:
@@ -267,15 +268,16 @@ class TestOdeResidual:
         for (N, w1, w2, n, L) in [(2, 0.0, 0.0, 1, 0), (2, 1.0, 1.0, 0, 0),
                                   (5, 5.0, 2.0, 4, 2), (3, 1.0, 0.0, 2, 1)]:
             p = OscillatorParams.from_couplings(N, w1, w2)
-            for residual in (ode_residual, stencil_ode_residual):
-                got = residual(p, QuantumNumbers(n, L))
-                assert got <= 1e-8, f"{residual.__name__} ({n},{L}) N={N}: {got:.2e}"
+            got = ode_residual(p, L, closed_form_levels(p, L, n))[n]
+            assert got <= 1e-8, f"ode_residual ({n},{L}) N={N}: {got:.2e}"
+            got = stencil_ode_residual(p, QuantumNumbers(n, L))
+            assert got <= 1e-8, f"stencil_ode_residual ({n},{L}) N={N}: {got:.2e}"
 
     def test_envelope_underflows_on_the_grid(self):
         # F underflows to 0 on the grid's 28 points from theta = 2.27 (mu_1 = 900);
         # the stencil's floor is 0 there
         p = OscillatorParams.from_couplings(3, 900.0, 1.0)
-        got = ode_residual(p, QuantumNumbers(0, 0))
+        got = ode_residual(p, 0, closed_form_levels(p, 0, 0))[0]
         assert math.isfinite(got) and got <= 1e-8
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -285,25 +287,25 @@ class TestOdeResidual:
     def test_contract_over_the_envelope(self, N, L, w1, w2):
         p = OscillatorParams.from_couplings(N, w1, w2)
         assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
-        perturbed = _verify_block(p, L, range(6), 1.001)
-        for n in range(6):
-            qn = QuantumNumbers(n, L)
-            assert ode_residual(p, qn) <= 1e-8
-            if abs(epsilon(p, qn)) >= 1.0:
+        levels = closed_form_levels(p, L, 5)
+        residuals = ode_residual(p, L, levels)
+        perturbed = verification_report(p, L, 5, energy_factor=1.001)
+        for n, eps in enumerate(levels):
+            assert residuals[n] <= 1e-8
+            if abs(eps) >= 1.0:
                 assert perturbed[n].max_ode_residual >= 1e-4
 
     def test_perturbed_energy_detected(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        assert verification_report(p, QuantumNumbers(0, 0), energy_factor=1.001).max_ode_residual >= 1e-4
+        assert verification_report(p, 0, 0, energy_factor=1.001)[0].max_ode_residual >= 1e-4
 
     def test_derivative_sweeps_stop_at_their_last_row(self):
-        # the unused rows P_n^(mu+1) (first state) and P_(n-1)^(mu+2) (second state,
+        # the unused rows P_n^(mu+1) (first block) and P_(n-1)^(mu+2) (second block,
         # where P_n^(mu+1) stays finite) overflow on the grid while every row the
         # residual takes stays finite
-        assert ode_residual(OscillatorParams.from_couplings(3, 999.0, 999.0),
-                            QuantumNumbers(293, 0)) <= 1e-8
-        assert ode_residual(OscillatorParams.from_couplings(3, 300.0, 300.0),
-                            QuantumNumbers(957, 0)) <= 1e-8
+        for (w, n) in [(999.0, 293), (300.0, 957)]:
+            p = OscillatorParams.from_couplings(3, w, w)
+            assert ode_residual(p, 0, closed_form_levels(p, 0, n))[n] <= 1e-8
 
 
 def single_grid_levels(params, L, k_levels, grid_points):
@@ -477,13 +479,12 @@ class TestEighTridiagonal:
 class TestNodeCount:
     def test_counts(self):
         p = OscillatorParams.from_couplings(2, 5.0, 2.0)
-        for n in range(5):
-            assert node_count(p, QuantumNumbers(n, 2)) == n
+        assert node_count(p, 2, 4) == list(range(5))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_degree_shift_flagged(self, monkeypatch, k):
         # row n carries the state of degree n + k; counted on the n_theta + 1
-        # matched-rule nodes, k = 1 went unflagged in every single-state report
+        # matched-rule nodes, k = 1 went unflagged in every one-state report
         import sphere_osc.eigenfunctions as ef
         original = ef.log_abs_F_rows
 
@@ -512,12 +513,11 @@ class TestNodeCount:
     def assert_shift_flagged(k):
         p = OscillatorParams.from_couplings(3, 5.0, 2.0)
         for L in range(9):
-            reports = _verify_block(p, L, range(9), 1.0)
+            reports = verification_report(p, L, 8)
             assert not any(rep.node_count_match for rep in reports), f"L={L}"
-        for n in range(9):
-            qn = QuantumNumbers(n, 0)
-            assert not verification_report(p, qn).node_count_match, f"n={n}"
-            assert node_count(p, qn) == n + k
+        for n in range(9):  # the last state of each block size
+            assert not verification_report(p, 0, n)[n].node_count_match, f"n={n}"
+            assert node_count(p, 0, n)[n] == n + k
 
 
 class TestEuclideanScan:
@@ -577,29 +577,57 @@ class TestGammaRatioLimit:
 class TestVerificationReport:
     def test_healthy_state(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        qn = QuantumNumbers(1, 0)
-        rep = verification_report(p, qn)
+        rep = verification_report(p, 0, 1)[1]
         assert rep.normalization_error <= 1e-10
         assert rep.max_ode_residual <= 1e-8
         assert rep.oracle_energy_relerr <= ORACLE_TOL
         assert rep.node_count_match
         assert rep.passed
-        # the one-state checks take the report's route, bit for bit
-        assert abs(normalization_check(p, qn) - 1.0) == rep.normalization_error
-        assert (node_count(p, qn) == qn.n_theta) == rep.node_count_match
+        # the stages give the report's values, bit for bit
+        assert abs(normalization_check(p, 0, 1)[1] - 1.0) == rep.normalization_error
+        assert (node_count(p, 0, 1)[1] == 1) == rep.node_count_match
+        assert ode_residual(p, 0, closed_form_levels(p, 0, 1))[1] == rep.max_ode_residual
 
     def test_perturbation_flags(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        rep = verification_report(p, QuantumNumbers(1, 0), energy_factor=1.001)
+        rep = verification_report(p, 0, 1, energy_factor=1.001)[1]
         assert rep.max_ode_residual > 1e-4
         assert rep.oracle_energy_relerr > 1e-4
         assert not rep.passed
 
+    def test_n_max_checked_before_any_work(self, monkeypatch):
+        # before, a 2000-node rule and its sweeps ran (0.33 s), then the FD oracle
+        # rejected "k_levels ... in 1..20, got 2000"
+        rules = []
+        monkeypatch.setattr(verify_mod, "gauss_jacobi_rule", lambda *args: rules.append(args))
+        with pytest.raises(DomainError, match=r"^n_max must be an integer in 0\.\.19, got 2000$"):
+            verification_report(W5_2, 0, 2000)
+        assert rules == []
+
+    def test_cli_calls_each_stage_once_per_L(self, monkeypatch, capsys):
+        # the stages are module attributes that `verify` reaches by name, so a wrapper sees each call
+        stages = ["verification_report", "normalization_check", "node_count", "ode_residual",
+                  "fd_eigensolve"]
+        calls = dict.fromkeys(stages, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in stages:
+            monkeypatch.setattr(verify_mod, name, counting(name, getattr(verify_mod, name)))
+        argv = ["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", "4", "--lmax", "2"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN_VERIFY.read_text()
+        assert calls == dict.fromkeys(stages, 3)
+
 
 def oracle_errors(params, L, n_values):
     """oracle_energy_relerr of each state, as `verify` computes it."""
-    reports = _verify_block(params, L, list(n_values), 1.0)
-    return [rep.oracle_energy_relerr for rep in reports]
+    reports = verification_report(params, L, max(n_values))
+    return [reports[n].oracle_energy_relerr for n in n_values]
 
 
 def richardson(params, L, k_levels, coarse):
@@ -626,7 +654,7 @@ class TestExtrapolatedOracle:
             fd = fd_eigensolve(W5_2, L, 5)
             levels = [epsilon(W5_2, QuantumNumbers(n, L)) for n in range(5)]
             want = [abs(float(fd[n]) - e) / max(abs(e), 1.0) for n, e in enumerate(levels)]
-            assert [rep.oracle_energy_relerr for rep in _verify_block(W5_2, L, range(5), 1.0)] == want
+            assert [rep.oracle_energy_relerr for rep in verification_report(W5_2, L, 4)] == want
             assert [from_csv[n, L] for n in range(5)] == want
             # 2.06 <= mu <= 5.6 at L <= 2, no pole matched: the 500-point floor, 500 and 1000 points
             assert fd.tobytes() == richardson(W5_2, L, 5, 500).tobytes()
@@ -681,7 +709,7 @@ class TestExtrapolatedOracle:
         # the grids follow k below MAX_FD_LEVELS, so every k of the envelope is drawn
         p = OscillatorParams.from_couplings(N, w1, w2)
         assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
-        reports = _verify_block(p, L, range(k), 1.0)
+        reports = verification_report(p, L, k - 1)
         assert all(rep.passed for rep in reports), [rep for rep in reports if not rep.passed]
 
     # the corners of MAX_MU: on a fixed 2000-point grid, with stebz's default
@@ -694,7 +722,7 @@ class TestExtrapolatedOracle:
         (2002, 0.0, 0.0, 0), (2000, 0.0, 0.0, 1),
     ])
     def test_envelope_corners(self, N, w1, w2, L):
-        reports = _verify_block(OscillatorParams.from_couplings(N, w1, w2), L, range(20), 1.0)
+        reports = verification_report(OscillatorParams.from_couplings(N, w1, w2), L, 19)
         assert all(rep.passed for rep in reports), [rep for rep in reports if not rep.passed]
 
 
@@ -713,8 +741,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("call, error", [
         (lambda: spectrum_table(W5_2, 1.5, 0), DomainError),
         (lambda: fd_eigensolve(W5_2, 0, 2.5), DomainError),
-        (lambda: normalization_check(W2000, QuantumNumbers(0, 0)), RangeError),
-        (lambda: verification_report(W2000, QuantumNumbers(0, 0)), RangeError),
+        (lambda: normalization_check(W2000, 0, 0), RangeError),
+        (lambda: verification_report(W2000, 0, 0), RangeError),
         (lambda: fd_eigensolve(W2000, 0, 1), RangeError),
         (lambda: gauss_jacobi_rule(200, 2.0, 2000.0), RangeError),
         # the package's exponents are mu >= 0; near -1 the weight mass lost accuracy
@@ -749,12 +777,12 @@ class TestInputValidation:
         # a level count past 1e308 is inf as a float, not an OverflowError
         (lambda: spectrum_table(W5_2, 10**200, 10**200), RangeError),
         # P_n grows like binom(n + mu, n): at n_theta = 400 its sweep overflows on the grid
-        (lambda: ode_residual(W999_999, QuantumNumbers(400, 0)), RangeError),
+        (lambda: ode_residual(W999_999, 0, closed_form_levels(W999_999, 0, 400)), RangeError),
         # the Jacobi sweep of n_theta = 600 overflows: before, each warned (the suite's
         # error::RuntimeWarning filter raises those), then gave F = nan, a nan norm and 5636 nodes
         (lambda: eval_F(W999_999, QuantumNumbers(600, 0), np.arange(1, 6) * math.pi / 6.0), RangeError),
-        (lambda: normalization_check(W999_999, QuantumNumbers(600, 0)), RangeError),
-        (lambda: node_count(W999_999, QuantumNumbers(600, 0)), RangeError),
+        (lambda: normalization_check(W999_999, 0, 600), RangeError),
+        (lambda: node_count(W999_999, 0, 600), RangeError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
             "normalization_check-w2000",
             "verification_report-w2000", "fd_eigensolve-w2000", "gauss_jacobi_rule-beta2000",
