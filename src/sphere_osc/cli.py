@@ -113,22 +113,24 @@ def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_sphere_flags(p: argparse.ArgumentParser):
+def _add_trap_flags(p: argparse.ArgumentParser):
+    """The flags every command takes: --dim, --mass and --hbar."""
     p.add_argument("--dim", type=int, required=True, help="sphere dimension N >= 2")
+    p.add_argument("--mass", type=float, default=None)
+    p.add_argument("--hbar", type=float, default=None)
+
+
+def _add_sphere_flags(p: argparse.ArgumentParser):
+    _add_trap_flags(p)
     p.add_argument("--w1", type=float, default=None, help="dimensionless coupling 4 m omega1 R^2 / hbar")
     p.add_argument("--w2", type=float, default=None, help="dimensionless coupling 4 m omega2 R^2 / hbar")
     p.add_argument("--omega1", type=float, default=None)
     p.add_argument("--omega2", type=float, default=None)
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--natural", action="store_true", help="force hbar = m = 1")
 
 
 def _mass_hbar(args) -> tuple[float, float]:
-    """m and hbar from --mass/--hbar (default 1); --natural pins both to 1."""
-    if args.natural and (args.mass is not None or args.hbar is not None):
-        raise UsageError("--natural fixes hbar = m = 1 and conflicts with --mass/--hbar")
+    """m and hbar from --mass/--hbar, each 1 by default."""
     return (args.mass if args.mass is not None else 1.0,
             args.hbar if args.hbar is not None else 1.0)
 
@@ -234,7 +236,7 @@ def _cmd_euclid_limit(args) -> int:
         raise UsageError("--radii must be strictly ascending")
     m, hbar = _mass_hbar(args)
     eparams = EuclideanParams(N=args.dim, omega=args.omega, chi=args.chi, m=m, hbar=hbar)
-    qn = QuantumNumbers(args.nr, args.l)
+    qn = QuantumNumbers(check_int("--nr", args.nr, 0), args.l)
     config = {"command": "euclid-limit", "dim": eparams.N, "omega": eparams.omega,
               "chi": eparams.chi, "mass": eparams.m, "hbar": eparams.hbar,
               "nr": qn.n_theta, "l": qn.L, "radii": radii, "format": args.format}
@@ -291,13 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("euclid-limit", help="large-radius convergence scan")
-    p.add_argument("--dim", type=int, required=True)
+    _add_trap_flags(p)
     p.add_argument("--chi", type=float, required=True,
                    help="dimensionless inverse-square strength (fixes w2 = chi at every R)")
     p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--natural", action="store_true")
     p.add_argument("--nr", type=int, default=0)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--radii", required=True, help="comma-separated ascending sphere radii (>= 3)")

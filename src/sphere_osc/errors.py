@@ -34,7 +34,7 @@ def check_int(name: str, v, lo: int | None = None, hi: int | None = None) -> int
     if not -sys.float_info.max <= v <= sys.float_info.max:
         raise RangeError(f"{name} has {v.bit_length()} bits, more than a double can hold")
     if (lo is not None and v < lo) or (hi is not None and v > hi):
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
         raise DomainError(f"{name} must be an integer {bounds}, got {v!r}")
     return v
 

@@ -379,7 +379,7 @@ def node_count(params: OscillatorParams, L: int, n_max: int) -> list[int]:
     The envelope is positive inside (0, pi), so F changes sign where its
     polynomial factor does; the factor's zeros are skipped.  The grid is
     built per call: as a module constant it raised the peak RSS of every
-    command that imports verify, `spectrum` too, by 0.2 MiB.
+    command that imports verify by 0.2 MiB.
     """
     grid = np.linspace(0.0, math.pi, 10_002)[1:-1]
     return [int(np.count_nonzero(np.diff(sign[sign != 0.0])))

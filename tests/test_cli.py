@@ -253,12 +253,12 @@ class TestExitCodes:
         res = run_cli(["spectrum", "--dim", "2", "--w1", "1", "--omega1", "0.5"])
         assert res.returncode == 2
 
-    def test_natural_conflicts_with_mass(self):
-        res = run_cli(["spectrum", "--dim", "2", "--mass", "2.0", "--natural"])
-        assert res.returncode == 2
-        res = run_cli(["euclid-limit", "--dim", "3", "--chi", "1.5", "--natural",
-                       "--mass", "2", "--radii", "1.5,3,6"])
-        assert res.returncode == 2
+    def test_natural_is_not_a_flag(self, capsys):
+        # m = hbar = 1 is the default; there is no flag that pins it
+        for argv in (["spectrum", "--dim", "3"], ["wavefunction", "--dim", "3"], ["verify", "--dim", "3"],
+                     ["euclid-limit", "--dim", "3", "--chi", "1.5", "--radii", "1.5,3,6"]):
+            assert cli.main(argv + ["--natural"]) == 2
+            assert "unrecognized arguments: --natural" in capsys.readouterr().err
 
     def test_domain_error_dimension(self):
         assert run_cli(["spectrum", "--dim", "1", "--w1", "0", "--w2", "0"]).returncode == 3
@@ -298,6 +298,17 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
         assert res.stdout == "" and res.stderr.count("\n") == 1
+
+    # a rejected integer names the flag and the bound it broke
+    @pytest.mark.parametrize("args, message", [
+        ("verify --dim 3 --w1 5 --w2 2 --levels 20", "--levels must be an integer <= 19, got 20"),
+        ("wavefunction --dim 3 --w1 5 --w2 2 --grid 1000001",
+         "--grid must be an integer <= 1000000, got 1000001"),
+        ("euclid-limit --dim 3 --chi 1.5 --nr -1 --radii 1.5,3,6", "--nr must be an integer >= 0, got -1"),
+    ])
+    def test_rejected_integer_names_its_flag(self, args, message, capsys):
+        assert cli.main(args.split()) == 3
+        assert capsys.readouterr() == ("", f"parameter error: {message}\n")
 
     def test_unwritable_out_is_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"

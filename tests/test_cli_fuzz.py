@@ -20,7 +20,7 @@ _DIM = st.integers(1, 5).map(str)
 _RADII = st.sampled_from(["1.5,3,6", "2,4", "6,3,1.5", "1,2,inf", "nan,1,2", "1e-300,1,1e300",
                           "a,b,c"])
 _SPHERE = {"--w1": _REALS, "--w2": _REALS, "--omega1": _REALS, "--omega2": _REALS,
-           "--radius": _REALS, "--mass": _REALS, "--hbar": _REALS, "--natural": None,
+           "--radius": _REALS, "--mass": _REALS, "--hbar": _REALS,
            "--format": st.sampled_from(["csv", "json"])}
 # command -> (required flags, optional flags); a flag whose value is None takes no value
 _FLAGS = {
@@ -31,7 +31,7 @@ _FLAGS = {
     "verify": ({"--dim": _DIM, "--levels": _SMALL, "--lmax": _SMALL},
                {**_SPHERE, "--perturb-energy": _REALS}),
     "euclid-limit": ({"--dim": _DIM, "--chi": _REALS, "--radii": _RADII},
-                     {"--omega": _REALS, "--mass": _REALS, "--hbar": _REALS, "--natural": None,
+                     {"--omega": _REALS, "--mass": _REALS, "--hbar": _REALS,
                       "--nr": _SMALL, "--l": _SMALL, "--format": st.sampled_from(["csv", "json"])}),
 }
 
