@@ -22,7 +22,7 @@ _SUBMODULE = {
     "eval_F": "eigenfunctions", "eval_f_euclidean": "eigenfunctions",
     "r_from_theta": "eigenfunctions", "theta_from_r": "eigenfunctions",
     "project_to_plane": "eigenfunctions",
-    "QuadratureRule": "verify", "VerificationReport": "verify",
+    "VerificationReport": "verify",
     "gauss_jacobi_rule": "verify", "normalization_check": "verify", "overlap_matrix": "verify",
     "ode_residual": "verify", "fd_eigensolve": "verify", "node_count": "verify",
     "euclidean_limit_scan": "verify", "verification_report": "verify",

@@ -135,6 +135,11 @@ def _mass_hbar(args) -> tuple[float, float]:
             args.hbar if args.hbar is not None else 1.0)
 
 
+def _quantum_numbers(args, n_flag: str, n: int) -> QuantumNumbers:
+    """The state of n_flag and --l, each checked under its flag; --l < 0 only on the 2-sphere."""
+    return QuantumNumbers(check_int(n_flag, n, 0), check_int("--l", args.l, 0 if args.dim > 2 else None))
+
+
 def _resolve_params(args) -> tuple[OscillatorParams, dict]:
     w_given = args.w1 is not None or args.w2 is not None
     phys_given = any(getattr(args, name) is not None for name in _PHYSICAL_FLAGS)
@@ -184,11 +189,11 @@ def _cmd_wavefunction(args) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
     check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
+    qn = _quantum_numbers(args, "--ntheta", args.ntheta)
     import numpy as np
 
     from .eigenfunctions import conformal_factor, eval_F
 
-    qn = QuantumNumbers(args.ntheta, args.l)
     config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
               "grid": args.grid, "projected": bool(args.projected), "format": args.format}
     thetas = np.arange(1, args.grid + 1) * math.pi / (args.grid + 1)
@@ -236,7 +241,7 @@ def _cmd_euclid_limit(args) -> int:
         raise UsageError("--radii must be strictly ascending")
     m, hbar = _mass_hbar(args)
     eparams = EuclideanParams(N=args.dim, omega=args.omega, chi=args.chi, m=m, hbar=hbar)
-    qn = QuantumNumbers(check_int("--nr", args.nr, 0), args.l)
+    qn = _quantum_numbers(args, "--nr", args.nr)
     config = {"command": "euclid-limit", "dim": eparams.N, "omega": eparams.omega,
               "chi": eparams.chi, "mass": eparams.m, "hbar": eparams.hbar,
               "nr": qn.n_theta, "l": qn.L, "radii": radii, "format": args.format}

@@ -19,8 +19,9 @@ from .errors import DomainError, check_envelope, check_int, check_range, check_r
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 from .special import JacobiParams
 
-# Weight exponents above this make the half-angle power factors too steep to
-# evaluate reliably in doubles, so states are rejected rather than degraded.
+# The one bound on every weight exponent (mu_k, the quadrature rule's alpha and beta,
+# the flat Laguerre parameter lambda + 1/2; ode_residual's derivative sweeps reach
+# MAX_MU + 2): the envelope over which the closed forms were swept against the oracles.
 MAX_MU = 1.0e3
 
 _LOG2 = math.log(2.0)
@@ -170,6 +171,7 @@ def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
     if eparams.omega <= 0.0:
         raise DomainError("bound flat-space states require omega > 0")
     lam = model.big_lambda(eparams, L)
+    check_envelope("lambda+1/2", lam + 0.5, MAX_MU)
     scale = eparams.m * eparams.omega / eparams.hbar
     lg = special.log_gamma
     log_norm = 0.5 * (_LOG2 + lg(n_r + 1.0) - lg(n_r + lam + 1.5)) + 0.25 * eparams.N * math.log(scale)

@@ -61,18 +61,6 @@ _MATCHED_WINDOW = math.pi / 16.0
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule for the weight (1-x)^alpha (1+x)^beta on (-1, 1); its weights are exp(log_weights)."""
-
-    nodes: np.ndarray
-    log_weights: np.ndarray
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Per-state record of every oracle comparison."""
 
@@ -155,24 +143,24 @@ def eigh_tridiagonal(d, e, k_levels: int | None = None) -> np.ndarray:
     return w[:k_levels]
 
 
-def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
-    """n-point Gauss-Jacobi rule, exact through polynomial degree 2n - 1.
+def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, log_weights) of the n-point Gauss-Jacobi rule, exact through polynomial degree 2n - 1.
 
-    Golub-Welsch construction: the nodes are the eigenvalues of the symmetric
-    tridiagonal matrix of the orthonormal three-term recurrence, all of them
-    from LAPACK dstevd through eigh_tridiagonal.  The weights
-    come from its Christoffel function, w_i = mu0 / sum_j p_j(x_i)^2 with p_j
-    the matrix's own recurrence (p_0 = 1), not from eigenvectors: the tiny
-    weights of the eigenvector route carry relative errors up to 6e-3 at
-    alpha ~ 1000, the Christoffel ones 3e-12 against mpmath.  The exponents
-    lie in [0, MAX_MU], where sum(w) is within 3e-12 of the weight's mass at
-    20 nodes and at MAX_QUAD_NODES.  The rule holds log_weights, from the
-    Christoffel sum and its shift; weights below about 1e-308 are subnormal or 0.
+    The weight is (1-x)^alpha (1+x)^beta on (-1, 1).  Golub-Welsch construction:
+    the nodes are the eigenvalues of the symmetric tridiagonal matrix of the
+    orthonormal three-term recurrence, all of them from LAPACK dstevd through
+    eigh_tridiagonal.  The weights come from its Christoffel function,
+    w_i = mu0 / sum_j p_j(x_i)^2 with p_j the matrix's own recurrence (p_0 = 1),
+    not from eigenvectors: the tiny weights of the eigenvector route carry
+    relative errors up to 6e-3 at alpha ~ 1000, the Christoffel ones 3e-12
+    against mpmath.  The exponents lie in [0, MAX_MU], where sum(w) is within
+    3e-12 of the weight's mass at 20 nodes and at MAX_QUAD_NODES.  log w_i comes
+    from the Christoffel sum and its shift, so no weight overflows; weights below
+    about 1e-308 are subnormal or 0 as doubles.
     """
     n = check_int("rule size", n, 1, MAX_QUAD_NODES)
     check_real("alpha", alpha, 0.0)
     check_real("beta", beta, 0.0)
-    # beyond MAX_MU the weight mass below can overflow
     check_envelope("alpha", alpha, eigenfunctions.MAX_MU)
     check_envelope("beta", beta, eigenfunctions.MAX_MU)
     apb = alpha + beta
@@ -184,7 +172,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     k = np.arange(1, n, dtype=float)
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
     if n == 1:
-        return QuadratureRule(nodes=diag.copy(), log_weights=np.array([log_mu0]))
+        return diag.copy(), np.array([log_mu0])
     bsq = np.empty(n - 1)
     bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     k = np.arange(2, n, dtype=float)
@@ -205,7 +193,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         half = np.frexp(total)[1] // 2
         p_prev, p, total = np.ldexp(p_prev, -half), np.ldexp(p, -half), np.ldexp(total, -2 * half)
         shift += 2 * half
-    return QuadratureRule(nodes=nodes, log_weights=log_mu0 - np.log(total) - shift * _LOG2)
+    return nodes, log_mu0 - np.log(total) - shift * _LOG2
 
 
 def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
@@ -229,11 +217,11 @@ def _weighted_rows(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
     """
     n_max = check_int("n_max", n_max, 0)
     mu1, mu2 = eigenfunctions.checked_mu(params, L)
-    rule = gauss_jacobi_rule(n_max + 1, mu2, mu1)
-    log_root = 0.5 * (rule.log_weights + _measure_log(params, rule.nodes, mu1, mu2))
+    nodes, log_weights = gauss_jacobi_rule(n_max + 1, mu2, mu1)
+    log_root = 0.5 * (log_weights + _measure_log(params, nodes, mu1, mu2))
     with np.errstate(over="ignore"):  # an overflow is inf, rejected below
         rows = np.array([sign * np.exp(log_abs + log_root) for log_abs, sign
-                         in eigenfunctions.log_abs_F_rows(params, L, n_max, np.arccos(rule.nodes))])
+                         in eigenfunctions.log_abs_F_rows(params, L, n_max, np.arccos(nodes))])
     check_envelope("weighted F", np.abs(rows).max(), np.finfo(float).max)
     return rows
 

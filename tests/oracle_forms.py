@@ -7,7 +7,7 @@ expanded forms and the tests compare the two.  The terminating
 hypergeometric series and the Jacobi norm check the recurrences and the
 quadrature rule.  The mpmath eigenfunctions (half-angle, projected
 in r, and the Gegenbauer form of the symmetric trap) check eval_F and
-project_to_plane.
+project_to_plane, and the mpmath flat radial function eval_f_euclidean.
 """
 
 import math
@@ -172,3 +172,19 @@ def mp_eval_F_gegenbauer(N: int, n: int, L: int, w: float, theta: float) -> floa
         t = mpmath.mpf(theta)
         return float(mpmath.sqrt(c_sq) * mpmath.sin(t) ** (mu - mpmath.mpf(N) / 2 + 1)
                      * mpmath.gegenbauer(n, mu + 0.5, mpmath.cos(t)))
+
+
+def mp_eval_f_euclidean(N: int, n_r: int, L: int, chi: float, r: float) -> float:
+    """Flat radial function at omega = m = hbar = 1, in mpmath, from the reduced form u = r^((N-1)/2) f.
+
+    u = C r^(lam+1) e^(-r^2/2) L_n^(lam+1/2)(r^2) with lam = sqrt((L + N/2 - 1)^2 + chi^2) - 1/2;
+    the Laguerre norm, integral x^a e^-x L_n^(a)(x)^2 dx = Gamma(n+a+1)/n!, gives
+    C^2 = 2 n! / Gamma(n + lam + 3/2) for integral u^2 dr = 1.
+    """
+    with mpmath.workdps(50):
+        h = mpmath.mpf(half_index(N, L))
+        lam = mpmath.sqrt(h * h + mpmath.mpf(chi) ** 2) - mpmath.mpf(1) / 2
+        c = mpmath.sqrt(2 * mpmath.factorial(n_r) / mpmath.gamma(n_r + lam + 1.5))
+        x = mpmath.mpf(r) ** 2
+        u = c * mpmath.mpf(r) ** (lam + 1) * mpmath.exp(-x / 2) * mpmath.laguerre(n_r, lam + 0.5, x)
+        return float(u / mpmath.mpf(r) ** (mpmath.mpf(N - 1) / 2))

@@ -8,7 +8,7 @@ import sphere_osc
 # One evaluation route per quantity: oracle-only forms live in tests/oracle_forms.py.
 PUBLIC_NAMES = [
     "DomainError", "EuclideanParams", "OscillatorParams",
-    "QuadratureRule", "QuantumNumbers", "RangeError", "SpectrumTable", "VerificationReport",
+    "QuantumNumbers", "RangeError", "SpectrumTable", "VerificationReport",
     "big_lambda", "energy", "energy_euclidean", "epsilon", "euclidean_limit_scan", "eval_F",
     "eval_f_euclidean", "fd_eigensolve", "finite_radius_params", "gauss_jacobi_rule", "mu",
     "node_count", "normalization_check", "ode_residual", "overlap_matrix", "potential_theta",

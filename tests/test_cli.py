@@ -305,6 +305,10 @@ class TestExitCodes:
         ("wavefunction --dim 3 --w1 5 --w2 2 --grid 1000001",
          "--grid must be an integer <= 1000000, got 1000001"),
         ("euclid-limit --dim 3 --chi 1.5 --nr -1 --radii 1.5,3,6", "--nr must be an integer >= 0, got -1"),
+        ("wavefunction --dim 3 --ntheta -1", "--ntheta must be an integer >= 0, got -1"),
+        # a negative --l is the 2-sphere's alone
+        ("wavefunction --dim 3 --l -1", "--l must be an integer >= 0, got -1"),
+        ("euclid-limit --dim 3 --chi 1.5 --l -1 --radii 1.5,3,6", "--l must be an integer >= 0, got -1"),
     ])
     def test_rejected_integer_names_its_flag(self, args, message, capsys):
         assert cli.main(args.split()) == 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
-from oracle_forms import mp_eval_F, mp_eval_F_gegenbauer, mp_project_to_plane
+from oracle_forms import mp_eval_F, mp_eval_F_gegenbauer, mp_eval_f_euclidean, mp_project_to_plane
 from sphere_osc.eigenfunctions import (
     eval_F,
     eval_f_euclidean,
@@ -306,6 +306,18 @@ class TestEuclideanRadial:
             scale = max(abs(0.5 * d2), abs(0.5 * pot * u(r)), abs(e_flat * u(r)), 1e-300)
             worst = max(worst, abs(resid) / scale)
         assert worst <= 1e-8, f"worst residual {worst:.2e}"
+
+    @pytest.mark.parametrize("n_r", [0, 5, 40])
+    def test_against_mpmath_at_the_envelope_edge(self, n_r):
+        # chi = 999: lambda + 1/2 = hypot(1/2, 999) is just inside MAX_MU
+        ep = EuclideanParams(N=3, omega=1.0, chi=999.0)
+        grid = np.linspace(0.0, 60.0, 6001)[1:]
+        f = eval_f_euclidean(ep, n_r, 0, grid)
+        scale = abs(mp_eval_f_euclidean(3, n_r, 0, 999.0, float(grid[np.argmax(np.abs(f))])))
+        support = grid[np.abs(f) > 1e-3 * np.max(np.abs(f))]
+        for r in np.linspace(support[0], support[-1], 11):
+            assert abs(eval_f_euclidean(ep, n_r, 0, r) - mp_eval_f_euclidean(3, n_r, 0, 999.0, r)) \
+                <= 1e-11 * scale, f"r={r}"
 
     def test_far_radius_is_zero(self):
         # (m omega / hbar) r^2 overflows, or the Laguerre factor does where the Gaussian

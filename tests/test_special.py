@@ -127,8 +127,6 @@ class TestJacobi:
             jacobi_eval(-1, JacobiParams(0.0, 0.0), 0.0)
         with pytest.raises(DomainError):
             JacobiParams(-1.0, 0.0)
-        with pytest.raises(RangeError):
-            jacobi_eval(2, JacobiParams(2.0e6, 0.0), 0.5)
 
     def test_overflowing_row_raises(self):
         # P_n^(999,999)(1) = binom(n + 999, n) is 3e297 at n = 291; the recurrence's
@@ -237,9 +235,9 @@ class TestJacobiNorm:
 
     def test_quadrature_oracle(self):
         p = JacobiParams(3.2, 0.7)
-        rule = gauss_jacobi_rule(64, p.alpha, p.beta)
-        vals = jacobi_eval(2, p, rule.nodes)
-        integral = float(rule.weights @ vals**2)
+        nodes, log_weights = gauss_jacobi_rule(64, p.alpha, p.beta)
+        vals = jacobi_eval(2, p, nodes)
+        integral = float(np.exp(log_weights) @ vals**2)
         assert rel(integral, math.exp(jacobi_log_norm_sq(2, p))) <= 1e-10
 
     def test_no_overflow_at_huge_parameters(self):
@@ -252,12 +250,13 @@ class TestOrthogonality:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 2.7, 10.0])
     def test_pairwise(self, alpha, beta):
         p = JacobiParams(alpha, beta)
-        rule = gauss_jacobi_rule(32, alpha, beta)
-        polys = [jacobi_eval(n, p, rule.nodes) for n in range(9)]
+        nodes, log_weights = gauss_jacobi_rule(32, alpha, beta)
+        weights = np.exp(log_weights)
+        polys = [jacobi_eval(n, p, nodes) for n in range(9)]
         norms = [math.exp(jacobi_log_norm_sq(n, p)) for n in range(9)]
         for n in range(9):
-            diag = float(rule.weights @ (polys[n] * polys[n]))
+            diag = float(weights @ (polys[n] * polys[n]))
             assert rel(diag, norms[n]) <= 1e-10
             for m in range(n + 1, 9):
-                off = float(rule.weights @ (polys[n] * polys[m]))
+                off = float(weights @ (polys[n] * polys[m]))
                 assert abs(off) <= 1e-10 * math.sqrt(norms[n] * norms[m])

@@ -66,22 +66,22 @@ def closed_form_levels(params, L, n_max):
 
 class TestGaussJacobiRule:
     def test_single_node_legendre(self):
-        rule = gauss_jacobi_rule(1, 0.0, 0.0)
-        assert abs(rule.nodes[0]) <= 1e-15
-        assert rel(rule.weights[0], 2.0) <= 1e-14
+        nodes, log_weights = gauss_jacobi_rule(1, 0.0, 0.0)
+        assert abs(nodes[0]) <= 1e-15
+        assert rel(np.exp(log_weights[0]), 2.0) <= 1e-14
 
     def test_structure(self):
-        rule = gauss_jacobi_rule(40, 1.3, 0.2)
-        assert np.all(np.diff(rule.nodes) > 0.0)
-        assert np.all(rule.weights > 0.0)
-        assert np.all(np.abs(rule.nodes) < 1.0)
+        nodes, log_weights = gauss_jacobi_rule(40, 1.3, 0.2)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.all(np.exp(log_weights) > 0.0)
+        assert np.all(np.abs(nodes) < 1.0)
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (0.5, 0.5), (3.2, 0.7), (10.0, 2.0)])
     def test_weight_mass(self, ab):
         a, b = ab
-        rule = gauss_jacobi_rule(24, a, b)
+        _, log_weights = gauss_jacobi_rule(24, a, b)
         mass = math.exp((a + b + 1.0) * math.log(2.0) + log_beta(a + 1.0, b + 1.0))
-        assert rel(float(np.sum(rule.weights)), mass) <= 1e-12
+        assert rel(float(np.sum(np.exp(log_weights))), mass) <= 1e-12
 
     @pytest.mark.parametrize("ab", [(0.0, 0.0), (2.7, 0.5), (0.5, 10.0)])
     def test_moment_exactness(self, ab):
@@ -91,7 +91,8 @@ class TestGaussJacobiRule:
         import mpmath as mp
         a, b = ab
         n = 12
-        rule = gauss_jacobi_rule(n, a, b)
+        nodes, log_weights = gauss_jacobi_rule(n, a, b)
+        weights = np.exp(log_weights)
         with mp.workdps(60):
             for k in range(2 * n):
                 total = mp.mpf(0)
@@ -99,25 +100,25 @@ class TestGaussJacobiRule:
                     total += (mp.binomial(k, j) * mp.mpf(2) ** j * (-1) ** (k - j)
                               * mp.beta(b + 1 + j, a + 1))
                 want = float(mp.mpf(2) ** (a + b + 1) * total)
-                got = float(rule.weights @ rule.nodes**k)
+                got = float(weights @ nodes**k)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), f"k={k}"
 
     def test_against_scipy(self):
-        nodes, weights = roots_jacobi(32, 1.7, 0.4)
-        rule = gauss_jacobi_rule(32, 1.7, 0.4)
-        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-12
-        assert np.max(np.abs(rule.weights - weights)) <= 1e-12
+        want_nodes, want_weights = roots_jacobi(32, 1.7, 0.4)
+        nodes, log_weights = gauss_jacobi_rule(32, 1.7, 0.4)
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-12
+        assert np.max(np.abs(np.exp(log_weights) - want_weights)) <= 1e-12
 
     @pytest.mark.parametrize("n, a, b", [(20, 998.0, 0.5), (20, 999.0, 999.0)])
     def test_weights_against_mpmath(self, n, a, b):
         # classical weights at mpmath-polished roots; eigenvector weights missed
         # the tiny ones at (998, 0.5) by up to 6e-3
         import mpmath as mp
-        rule = gauss_jacobi_rule(n, a, b)
+        nodes, log_weights = gauss_jacobi_rule(n, a, b)
         with mp.workdps(50):
             scale = (mp.mpf(2) ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
                      / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
-            for x, w in zip(rule.nodes, rule.weights):
+            for x, w in zip(nodes, np.exp(log_weights)):
                 root = mp.findroot(lambda t: mp.jacobi(n, a, b, t), mp.mpf(x))
                 dp = (n + a + b + 1) / 2 * mp.jacobi(n - 1, a + 1, b + 1, root)
                 want = scale / ((1 - root**2) * dp**2)
@@ -129,19 +130,19 @@ class TestGaussJacobiRule:
     def test_log_weights(self, n, a, b):
         # the matched rules of the edge blocks below; 14 weights of the first are exactly 0
         import mpmath as mp
-        rule = gauss_jacobi_rule(n, a, b)
+        _, log_weights = gauss_jacobi_rule(n, a, b)
         with mp.workdps(30):
             log_mass = float(mp.log(mp.mpf(2) ** (a + b + 1) * mp.beta(a + 1, b + 1)))
-        top = float(np.max(rule.log_weights))
-        log_sum = top + math.log(float(np.sum(np.exp(rule.log_weights - top))))
+        top = float(np.max(log_weights))
+        log_sum = top + math.log(float(np.sum(np.exp(log_weights - top))))
         assert abs(log_sum - log_mass) <= 1e-11
 
     def test_norm_reproduction(self):
         p = JacobiParams(2.5, 0.8)
-        rule = gauss_jacobi_rule(16, p.alpha, p.beta)
+        nodes, log_weights = gauss_jacobi_rule(16, p.alpha, p.beta)
         for n in range(9):
-            vals = jacobi_eval(n, p, rule.nodes)
-            got = float(rule.weights @ vals**2)
+            vals = jacobi_eval(n, p, nodes)
+            got = float(np.exp(log_weights) @ vals**2)
             assert rel(got, math.exp(jacobi_log_norm_sq(n, p))) <= 1e-12
 
     def test_domain(self):
@@ -429,10 +430,10 @@ class TestEighTridiagonal:
         rules = [(n, a, b) for n in (2, 9, 40, 200) for a, b in [(0.0, 0.0), (5.5, 2.5), (999.0, 0.5)]]
         fast = [gauss_jacobi_rule(*r) for r in rules]
         monkeypatch.setattr(verify_mod, "_lapack", lambda: None)
-        for rule, r in zip(fast, rules):
-            slow = gauss_jacobi_rule(*r)
-            assert rule.nodes.tobytes() == slow.nodes.tobytes(), r
-            assert rule.weights.tobytes() == slow.weights.tobytes(), r
+        for (nodes, log_weights), r in zip(fast, rules):
+            slow_nodes, slow_log_weights = gauss_jacobi_rule(*r)
+            assert nodes.tobytes() == slow_nodes.tobytes(), r
+            assert log_weights.tobytes() == slow_log_weights.tobytes(), r
 
     @pytest.mark.parametrize("args", [
         (np.ones(5), np.ones(4), 6), (np.ones(5), np.ones(4), 0), (np.ones(5), np.ones(4), 2.0),
@@ -750,6 +751,8 @@ class TestInputValidation:
         (lambda: fd_eigensolve(W5_2, 1.5, 2), DomainError),
         (lambda: energy_euclidean(FLAT, 0, 1.5), DomainError),
         (lambda: eval_f_euclidean(FLAT, 0, 1, math.inf), DomainError),
+        # the Laguerre parameter lambda + 1/2 = hypot(1/2, chi) shares MAX_MU with mu
+        (lambda: eval_f_euclidean(EuclideanParams(N=3, omega=1.0, chi=1001.0), 0, 0, 1.0), RangeError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 1.5, 0.5), DomainError),
         (lambda: gauss_jacobi_rule(MAX_QUAD_NODES + 1, 0.0, 0.0), DomainError),
         (lambda: build_discretized_operator(W5_2, 0, MAX_GRID_POINTS + 1), DomainError),
@@ -787,7 +790,8 @@ class TestInputValidation:
             "normalization_check-w2000",
             "verification_report-w2000", "fd_eigensolve-w2000", "gauss_jacobi_rule-beta2000",
             "gauss_jacobi_rule-negative-alpha", "fd_eigensolve-float-L",
-            "energy_euclidean-float-L", "eval_f_euclidean-r-inf", "gauss_jacobi_rule-nodes-cap",
+            "energy_euclidean-float-L", "eval_f_euclidean-r-inf", "eval_f_euclidean-chi1001",
+            "gauss_jacobi_rule-nodes-cap",
             "gauss_jacobi_rule-nodes-cap-legendre",
             "build_discretized_operator-grid-cap", "fd_eigensolve-levels-cap",
             "epsilon-huge-n", "epsilon-huge-L",
@@ -806,7 +810,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("call", [
         lambda n: repr(QuantumNumbers(n, 0)),  # the stored field is a Python int
         lambda n: jacobi_eval(n, JacobiParams(1.5, 0.5), 0.3),
-        lambda n: gauss_jacobi_rule(n, 1.5, 0.5).nodes,
+        lambda n: gauss_jacobi_rule(n, 1.5, 0.5)[0],
         lambda n: energy_euclidean(FLAT, n, 1),
     ], ids=["QuantumNumbers", "jacobi_eval", "gauss_jacobi_rule", "energy_euclidean"])
     def test_numpy_integers_like_int(self, call):
