@@ -8,8 +8,6 @@ Sign convention: every normalization constant is taken positive, so the
 polynomial factor alone decides the sign.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -6,8 +6,6 @@ helpers below, so the package states its domain once.  Checks that encode
 the physics of one formula stay next to that formula.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from numbers import Integral

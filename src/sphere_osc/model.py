@@ -11,27 +11,53 @@ units of hbar^2 / (2 m R^2).  All downstream code works with (N, w1, w2)
 and converts to physical units at the API boundary.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
 
 from .errors import DomainError, RangeError, check_int, check_range, check_real
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in `__slots__` and sets them once, through `_init`.
+    Equality and hashing go by type and field values, and the repr names every field.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor, which validates again
+        return type(self), self._values()
+
+
+class OscillatorParams(Record):
     """Sphere dimension, radius, particle mass, hbar, and the two trap frequencies."""
 
-    N: int
-    R: float = 1.0
-    m: float = 1.0
-    hbar: float = 1.0
-    omega1: float = 0.0
-    omega2: float = 0.0
+    __slots__ = ("N", "R", "m", "hbar", "omega1", "omega2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", check_int("dimension N", self.N, 2))
+    def __init__(self, N: int, R: float = 1.0, m: float = 1.0, hbar: float = 1.0,
+                 omega1: float = 0.0, omega2: float = 0.0):
+        self._init(check_int("dimension N", N, 2), R, m, hbar, omega1, omega2)
         for name in ("R", "m", "hbar"):
             check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("omega1", self.omega1, 0.0)
@@ -74,37 +100,29 @@ class OscillatorParams:
         check_real("w2", w2, 0.0)
         base = cls(N=N, R=R, m=m, hbar=hbar)  # validates R, m, hbar before R**2 is formed
         scale = hbar / (4.0 * m * R**2)
-        return replace(base, omega1=w1 * scale, omega2=w2 * scale)
+        return cls(base.N, base.R, base.m, base.hbar, w1 * scale, w2 * scale)
 
     def swapped(self) -> "OscillatorParams":
         """Same setup with the two trap frequencies exchanged."""
-        return replace(self, omega1=self.omega2, omega2=self.omega1)
+        return type(self)(self.N, self.R, self.m, self.hbar, self.omega2, self.omega1)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(Record):
     """Quasi-radial index n_theta and angular index L labeling one state."""
 
-    n_theta: int
-    L: int
+    __slots__ = ("n_theta", "L")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_theta", check_int("n_theta", self.n_theta, 0))
-        object.__setattr__(self, "L", check_int("L", self.L))
+    def __init__(self, n_theta: int, L: int):
+        self._init(check_int("n_theta", n_theta, 0), check_int("L", L))
 
 
-@dataclass(frozen=True)
-class EuclideanParams:
+class EuclideanParams(Record):
     """Flat-space oscillator with an inverse-square (centrifugal-like) admixture chi."""
 
-    N: int
-    omega: float
-    chi: float
-    m: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ("N", "omega", "chi", "m", "hbar")
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", check_int("dimension N", self.N, 2))
+    def __init__(self, N: int, omega: float, chi: float, m: float = 1.0, hbar: float = 1.0):
+        self._init(check_int("dimension N", N, 2), omega, chi, m, hbar)
         check_real("omega", self.omega, 0.0)
         for name in ("chi", "m", "hbar"):
             check_real(name, getattr(self, name), 0.0, strict=True)
@@ -165,4 +183,4 @@ def finite_radius_params(eparams: EuclideanParams, R: float) -> OscillatorParams
     base = OscillatorParams(N=eparams.N, R=R, m=eparams.m, hbar=eparams.hbar,
                             omega1=eparams.omega)  # validates R before R**2 is formed
     omega2 = eparams.hbar * eparams.chi / (4.0 * eparams.m * R**2)
-    return replace(base, omega2=omega2)
+    return OscillatorParams(base.N, base.R, base.m, base.hbar, base.omega1, omega2)

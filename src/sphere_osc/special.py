@@ -7,26 +7,21 @@ constant is assembled in log-gamma space and exponentiated last, so nothing
 overflows before it has to.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RangeError, check_int, check_range, check_real
+from .model import Record
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(Record):
     """Exponent pair (alpha, beta) of the weight (1-x)^alpha (1+x)^beta."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        check_real("alpha", self.alpha, -1.0, strict=True)
-        check_real("beta", self.beta, -1.0, strict=True)
+    def __init__(self, alpha: float, beta: float):
+        self._init(check_real("alpha", alpha, -1.0, strict=True), check_real("beta", beta, -1.0, strict=True))
 
 
 def log_gamma(x: float) -> float:

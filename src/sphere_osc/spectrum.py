@@ -1,7 +1,5 @@
 """Closed-form energy levels of the general potential and of its flat-space limit."""
 
-from __future__ import annotations
-
 import math
 from array import array
 from typing import NamedTuple

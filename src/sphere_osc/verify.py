@@ -13,18 +13,15 @@ is called with ctypes in the ILP64 OpenBLAS that numpy's wheel bundles, so
 no command imports scipy; where numpy carries none, scipy.linalg solves.
 """
 
-from __future__ import annotations
-
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigenfunctions, model, special, spectrum
 from .errors import DomainError, check_envelope, check_int, check_real
-from .model import EuclideanParams, OscillatorParams, QuantumNumbers
+from .model import EuclideanParams, OscillatorParams, QuantumNumbers, Record
 from .special import JacobiParams, log_gamma
 
 # Tolerances of the verification contract (shared by the CLI and the tests).
@@ -60,15 +57,15 @@ _MATCHED_EXPONENT_MAX = 2.5
 _MATCHED_WINDOW = math.pi / 16.0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Per-state record of every oracle comparison."""
 
-    state: QuantumNumbers
-    normalization_error: float
-    max_ode_residual: float
-    oracle_energy_relerr: float
-    node_count_match: bool
+    __slots__ = ("state", "normalization_error", "max_ode_residual", "oracle_energy_relerr",
+                 "node_count_match")
+
+    def __init__(self, state: QuantumNumbers, normalization_error: float, max_ode_residual: float,
+                 oracle_energy_relerr: float, node_count_match: bool):
+        self._init(state, normalization_error, max_ode_residual, oracle_energy_relerr, node_count_match)
 
     @property
     def passed(self) -> bool:

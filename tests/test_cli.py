@@ -309,6 +309,12 @@ class TestExitCodes:
         # a negative --l is the 2-sphere's alone
         ("wavefunction --dim 3 --l -1", "--l must be an integer >= 0, got -1"),
         ("euclid-limit --dim 3 --chi 1.5 --l -1 --radii 1.5,3,6", "--l must be an integer >= 0, got -1"),
+        # a count below its floor is a parameter error too, not a usage error
+        ("spectrum --dim 3 --nmax -1", "--nmax must be an integer >= 0, got -1"),
+        ("spectrum --dim 3 --lmax -1", "--lmax must be an integer >= 0, got -1"),
+        ("verify --dim 3 --levels -1", "--levels must be an integer >= 0, got -1"),
+        ("verify --dim 3 --lmax -1", "--lmax must be an integer >= 0, got -1"),
+        ("wavefunction --dim 3 --grid 1", "--grid must be an integer >= 2, got 1"),
     ])
     def test_rejected_integer_names_its_flag(self, args, message, capsys):
         assert cli.main(args.split()) == 3
@@ -427,7 +433,7 @@ with contextlib.redirect_stderr(io.StringIO()):
     codes = [main(["verify", "--dim", "3", "--levels", "-1"]),
              main(["verify", "--dim", "3", "--levels", "1000"]),
              main(["verify", "--dim", "3", "--w1", "999", "--lmax", "100000"])]
-assert codes == [2, 3, 3], codes
+assert codes == [3, 3, 3], codes
 assert "scipy" not in sys.modules
 """
 
@@ -437,8 +443,9 @@ def test_rejected_verify_loads_no_scipy():
     assert res.returncode == 0, res.stderr
 
 
-# Runs in a fresh interpreter with no thread variables set: `spectrum`, its errors and
-# a usage error load no numpy; `verify` does, after the CLI's OpenBLAS default is in place.
+# Runs in a fresh interpreter with no thread variables set: `spectrum` and its errors load
+# no numpy, and no dataclasses or inspect either; `wavefunction` loads numpy but no dataclasses;
+# `verify` loads numpy after the CLI's OpenBLAS default is in place.
 _NUMPY_PROBE = """
 import contextlib, io, os, sys
 from sphere_osc.cli import main
@@ -449,10 +456,13 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         (["spectrum", "--dim", "3", "--w1", "5", "--w2", "2"], 0),
         (["spectrum", "--dim", "3", "--w1", "5", "--w2", "2", "--format", "json"], 0),
         (["spectrum", "--dim", "3", "--w1", "1e300", "--w2", "1e300"], 3),
-        (["spectrum", "--dim", "3", "--nmax", "-1"], 2),
+        (["spectrum", "--dim", "3", "--nmax", "-1"], 3),
     ]:
         assert main(argv) == code, argv
-        assert "numpy" not in sys.modules, argv
+        loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+        assert loaded == [], (argv, loaded)
+    assert main(["wavefunction", "--dim", "3", "--w1", "5", "--w2", "2", "--grid", "5"]) == 0
+    assert "numpy" in sys.modules and "dataclasses" not in sys.modules
     assert main(["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", "1", "--lmax", "0"]) == 0
 assert "numpy" in sys.modules
 assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
@@ -463,6 +473,34 @@ def test_spectrum_loads_no_numpy():
     res = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=_env_without_thread_vars(),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+# `run` is the console script; `main` is what tests and bench/tracer.py call in-process.
+# The atexit hook runs after sys.exit, and reports whether the run's objects were frozen.
+_FREEZE_PROBE = """
+import atexit, gc, sys
+from sphere_osc import cli
+
+atexit.register(lambda: print(f"frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+if sys.argv.pop(1) == "run":
+    cli.run()
+sys.exit(cli.main())
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    ("spectrum --dim 3 --w1 5 --w2 2", 0),
+    ("spectrum --dim 1", 3),
+    ("verify --dim 2 --w1 1 --w2 1 --levels 1 --lmax 0 --perturb-energy 1e-3", 1),
+])
+def test_run_freezes_the_gc_before_exit(args, code):
+    run, main = (subprocess.run([sys.executable, "-c", _FREEZE_PROBE, entry, *args.split()],
+                                capture_output=True, text=True) for entry in ("run", "main"))
+    assert run.returncode == main.returncode == code
+    assert run.stdout == main.stdout and (run.stdout == "") == (code == 3)
+    *run_err, run_hook = run.stderr.splitlines()
+    *main_err, main_hook = main.stderr.splitlines()
+    assert run_err == main_err and (run_hook, main_hook) == ("frozen: True", "frozen: False")
 
 
 def _env_without_thread_vars(**extra):

@@ -1,9 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from sphere_osc.errors import DomainError
+from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import (
     EuclideanParams,
     OscillatorParams,
@@ -15,7 +17,9 @@ from sphere_osc.model import (
     potential_theta,
     reduce_L,
 )
+from sphere_osc.special import JacobiParams
 from sphere_osc.spectrum import energy, epsilon
+from sphere_osc.verify import VerificationReport
 
 
 def rel(a, b):
@@ -57,6 +61,63 @@ class TestParams:
             EuclideanParams(N=2, omega=1.0, chi=0.0)
         with pytest.raises(DomainError):
             EuclideanParams(N=1, omega=1.0, chi=1.0)
+
+
+# type, its fields in order, valid values, and rejected fields -> (error, message)
+_RECORDS = [
+    (OscillatorParams, ("N", "R", "m", "hbar", "omega1", "omega2"), (3, 2.0, 1.5, 0.5, 0.25, 0.0), [
+        ({"N": 1}, DomainError, "dimension N must be an integer >= 2, got 1"),
+        ({"N": 3.0}, DomainError, "dimension N must be an integer, got 3.0"),
+        ({"R": 0.0}, DomainError, "R must be finite and > 0, got 0.0"),
+        ({"m": -1.0}, DomainError, "m must be finite and > 0, got -1.0"),
+        ({"hbar": math.nan}, DomainError, "hbar must be finite and > 0, got nan"),
+        ({"omega1": -1.0}, DomainError, "omega1 must be finite and >= 0, got -1.0"),
+        ({"omega2": math.inf}, DomainError, "omega2 must be finite and >= 0, got inf"),
+        # the first field in order is named, and the derived scales come last
+        ({"R": 0.0, "omega1": -1.0}, DomainError, "R must be finite and > 0, got 0.0"),
+        ({"R": 1e200, "omega1": -1.0}, DomainError, "omega1 must be finite and >= 0, got -1.0"),
+        ({"R": 1e200}, RangeError, "R=1e+200, m=1.5, hbar=0.5 overflow the couplings or the energy unit"),
+    ]),
+    (QuantumNumbers, ("n_theta", "L"), (2, -1), [
+        ({"n_theta": -1}, DomainError, "n_theta must be an integer >= 0, got -1"),
+        ({"n_theta": -1, "L": 1.5}, DomainError, "n_theta must be an integer >= 0, got -1"),
+        ({"L": 1.5}, DomainError, "L must be an integer, got 1.5"),
+    ]),
+    (EuclideanParams, ("N", "omega", "chi", "m", "hbar"), (3, 1.0, 1.5, 2.0, 0.5), [
+        ({"N": 1}, DomainError, "dimension N must be an integer >= 2, got 1"),
+        ({"omega": -1.0, "chi": 0.0}, DomainError, "omega must be finite and >= 0, got -1.0"),
+        ({"chi": 0.0}, DomainError, "chi must be finite and > 0, got 0.0"),
+        ({"m": 0.0}, DomainError, "m must be finite and > 0, got 0.0"),
+        ({"hbar": math.inf}, DomainError, "hbar must be finite and > 0, got inf"),
+    ]),
+    (JacobiParams, ("alpha", "beta"), (0.5, -0.5), [
+        ({"alpha": -1.0, "beta": math.nan}, DomainError, "alpha must be finite and > -1, got -1.0"),
+        ({"beta": math.nan}, DomainError, "beta must be finite and > -1, got nan"),
+    ]),
+    (VerificationReport, ("state", "normalization_error", "max_ode_residual", "oracle_energy_relerr",
+                          "node_count_match"), (QuantumNumbers(1, 0), 1e-16, 1e-12, 1e-10, True), []),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values, rejected", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_record_type_contract(cls, fields, values, rejected):
+    """Every record type is an immutable value: equality, hash and repr by its fields."""
+    record = cls(*values)
+    same = cls(**dict(zip(fields, values)))
+    assert record == same and hash(record) == hash(same)
+    assert record != values and record != QuantumNumbers(0, 0) and record != cls(*values[:-1], values[-1] + 1)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    assert [getattr(record, f) for f in fields] == list(values)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, fields[-1])
+    assert getattr(record, fields[-1]) == values[-1]
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    for change, error, message in rejected:
+        with pytest.raises(error) as info:
+            cls(**{**dict(zip(fields, values)), **change})
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestAngularIndex:
