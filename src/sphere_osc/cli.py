@@ -20,7 +20,6 @@ from itertools import chain
 if "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import spectrum as spectrum_mod
 from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers
 
@@ -172,18 +171,19 @@ def _resolve_params(args) -> tuple[OscillatorParams, dict]:
     return params, config
 
 
-def _cmd_spectrum(args) -> int:
+# Each command returns (its own config fields, header, columns, verdict); `main` writes and exits.
+def _cmd_spectrum(args):
     params, config = _resolve_params(args)
     check_int("--nmax", args.nmax, 0)
     check_int("--lmax", args.lmax, 0)
-    config = {"command": "spectrum", **config, "nmax": args.nmax, "lmax": args.lmax,
-              "format": args.format}
-    table = spectrum_mod.spectrum_table(params, args.nmax, args.lmax)
-    _emit(config, ["n_theta", "L", "epsilon", "energy"], table, args.out, args.format)
-    return EXIT_OK
+    from .spectrum import spectrum_table
+
+    config = {**config, "nmax": args.nmax, "lmax": args.lmax}
+    table = spectrum_table(params, args.nmax, args.lmax)
+    return config, ["n_theta", "L", "epsilon", "energy"], table, True
 
 
-def _cmd_wavefunction(args) -> int:
+def _cmd_wavefunction(args):
     params, config = _resolve_params(args)
     check_int("--grid", args.grid, 2)
     check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
@@ -192,23 +192,20 @@ def _cmd_wavefunction(args) -> int:
 
     from .eigenfunctions import conformal_factor, eval_F
 
-    config = {"command": "wavefunction", **config, "ntheta": qn.n_theta, "l": qn.L,
-              "grid": args.grid, "projected": bool(args.projected), "format": args.format}
+    config = {**config, "ntheta": qn.n_theta, "l": qn.L, "grid": args.grid, "projected": args.projected}
     thetas = np.arange(1, args.grid + 1) * math.pi / (args.grid + 1)
     columns, header = [thetas, eval_F(params, qn, thetas)], ["theta", "F"]
     if args.projected:
         r = r_from_theta(params.R, thetas)
         columns, header = [r, conformal_factor(params, r) * columns[1]], ["r", "f"]
-    _emit(config, header, columns, args.out, args.format)
-    return EXIT_OK
+    return config, header, columns, True
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     params, config = _resolve_params(args)
     check_int("--levels", args.levels, 0)
     check_int("--lmax", args.lmax, 0)
-    config = {"command": "verify", **config, "levels": args.levels, "lmax": args.lmax,
-              "perturb_energy": args.perturb_energy, "format": args.format}
+    config = {**config, "levels": args.levels, "lmax": args.lmax, "perturb_energy": args.perturb_energy}
     factor = 1.0 + args.perturb_energy
     from . import verify as verify_mod
     from .eigenfunctions import checked_mu
@@ -224,11 +221,10 @@ def _cmd_verify(args) -> int:
              rep.oracle_energy_relerr, rep.node_count_match, rep.passed) for rep in reports]
     header = ["n_theta", "L", "normalization_error", "max_ode_residual",
               "oracle_energy_relerr", "node_count_match", "ok"]
-    _emit(config, header, list(zip(*rows)), args.out, args.format)
-    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VERIFICATION
+    return config, header, list(zip(*rows)), all(rep.passed for rep in reports)
 
 
-def _cmd_euclid_limit(args) -> int:
+def _cmd_euclid_limit(args):
     try:
         radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
     except ValueError:
@@ -240,9 +236,8 @@ def _cmd_euclid_limit(args) -> int:
     m, hbar = _mass_hbar(args)
     eparams = EuclideanParams(N=args.dim, omega=args.omega, chi=args.chi, m=m, hbar=hbar)
     qn = _quantum_numbers(args, "--nr", args.nr)
-    config = {"command": "euclid-limit", "dim": eparams.N, "omega": eparams.omega,
-              "chi": eparams.chi, "mass": eparams.m, "hbar": eparams.hbar,
-              "nr": qn.n_theta, "l": qn.L, "radii": radii, "format": args.format}
+    config = {"dim": eparams.N, "omega": eparams.omega, "chi": eparams.chi, "mass": eparams.m,
+              "hbar": eparams.hbar, "nr": qn.n_theta, "l": qn.L, "radii": radii}
 
     from . import verify as verify_mod
 
@@ -255,11 +250,8 @@ def _cmd_euclid_limit(args) -> int:
     columns = [R + ["slope:energy_error", "slope:wavefunction_error"], e_errs + [None, None],
                w_errs + [None, None], [None] * len(R) + [slope_e, slope_w]]
     header = ["R", "energy_error", "wavefunction_error", "fitted_slope"]
-    _emit(config, header, columns, args.out, args.format)
-
-    monotone = all(b < a for a, b in zip(e_errs, e_errs[1:])) and \
-        all(b < a for a, b in zip(w_errs, w_errs[1:]))
-    return EXIT_OK if monotone else EXIT_VERIFICATION
+    monotone = all(b < a for errs in (e_errs, w_errs) for a, b in zip(errs, errs[1:]))
+    return config, header, columns, monotone
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +308,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        config, header, columns, ok = args.func(args)
+        _emit({"command": args.command, **config, "format": args.format}, header, columns,
+              args.out, args.format)
+        return EXIT_OK if ok else EXIT_VERIFICATION
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,12 @@ CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 
-# sha256 of a command's stdout; .github/workflows/tier1.yml pins some of them too
+# sha256 of a command's stdout; .github/workflows/tier1.yml pins some of them too.
+# Taken with numpy 2.4.6 on a host whose numpy dispatches AVX-512. Without that dispatch
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") the three wavefunction digests,
+# the verify JSON digest and the verify golden file (test_golden_w5_2,
+# test_golden_with_explicit_threads) move in their last digits; the spectrum and
+# euclid-limit pins hold (ROADMAP item 15).
 STDOUT_PINS = [
     ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200",
      "d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504"),
@@ -440,6 +445,16 @@ assert "scipy" not in sys.modules
 
 def test_rejected_verify_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", _REJECTED_VERIFY_PROBE], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_wavefunction_loads_no_spectrum():
+    # only `spectrum` (and verify, which cross-checks it) needs the level formulas
+    probe = ("import contextlib, io, sys\nfrom sphere_osc.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(['wavefunction', '--dim', '3', '--grid', '5']) == 0\n"
+             "assert 'sphere_osc.spectrum' not in sys.modules")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 
 

@@ -132,6 +132,16 @@ def test_eval_F_against_mpmath(N, L, n, w1, w2, theta):
     assert abs(eval_F(p, qn, theta) - mp_eval_F(N, n, L, p.w1, p.w2, theta)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [5, 100, 300])
+@pytest.mark.parametrize("w1, w2, theta", [(0.0, 998.0, math.pi), (998.0, 0.0, 0.0)])
+def test_eval_F_at_a_pole_against_mpmath(w1, w2, theta, n):
+    """At the pole whose exponent is 0, F is C P_n(+-1), taken in closed form; up to 8.5e-13 seen."""
+    p = OscillatorParams.from_couplings(3, w1, w2)
+    want = mp_eval_F(3, n, 0, p.w1, p.w2, theta)
+    assert want != 0.0
+    assert abs(eval_F(p, QuantumNumbers(n, 0), theta) - want) <= 2e-12 * abs(want)
+
+
 class TestGegenbauerForm:
     def test_matches_general_form(self):
         p = OscillatorParams.from_couplings(3, 2.0, 2.0)
@@ -334,6 +344,15 @@ class TestEuclideanRadial:
     def test_r_zero(self):
         ep = EuclideanParams(N=3, omega=1.0, chi=0.5)
         assert eval_f_euclidean(ep, 1, 0, 0.0) == 0.0
+
+    def test_r_zero_where_the_exponent_rounds_to_zero(self):
+        # at N = 2, L = 0 the exponent of r, lam + 1 - (N - 1)/2, is chi; it rounds to 0.0 at
+        # chi = 1e-300, where lam = chi - 1/2 reads -1/2, and f(0) is the finite sqrt(2), not 0
+        tiny = EuclideanParams(N=2, omega=1.0, chi=1e-300)
+        f0 = eval_f_euclidean(tiny, 0, 0, 0.0)
+        assert f0 == eval_f_euclidean(tiny, 0, 0, 1e-300)
+        assert abs(f0 - math.sqrt(2.0)) <= 1e-15
+        assert eval_f_euclidean(EuclideanParams(N=2, omega=1.0, chi=1e-8), 0, 0, 0.0) == 0.0
 
     def test_domain(self):
         ep = EuclideanParams(N=3, omega=1.0, chi=0.5)
