@@ -28,7 +28,9 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-_PHYSICAL_FLAGS = ("omega1", "omega2", "radius", "mass", "hbar")
+# flag -> model field; only given flags are in the namespace, so the model holds each default
+_PHYSICAL_FLAGS = {"omega1": "omega1", "omega2": "omega2", "radius": "R", "mass": "m", "hbar": "hbar"}
+_COUPLING_FLAGS = {"w1": "w1", "w2": "w2"}
 
 # Largest `wavefunction --grid`: the CLI holds the theta nodes and each column
 # as arrays; rows are formatted only a chunk at a time.
@@ -85,6 +87,8 @@ def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
         return "%d" if getattr(col, "typecode", None) == "q" else number  # int64 array.array
 
     row = row.format(*map(slot, columns))
+    if out is None and sys.stdout is None:  # as Python sets it when started with fd 1 closed
+        raise UsageError("cannot write stdout: it is closed")
     try:
         fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
         with contextlib.nullcontext(fh) if out is None else fh:
@@ -114,23 +118,24 @@ def _add_output_flags(p: argparse.ArgumentParser):
 def _add_trap_flags(p: argparse.ArgumentParser):
     """The flags every command takes: --dim, --mass and --hbar."""
     p.add_argument("--dim", type=int, required=True, help="sphere dimension N >= 2")
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
+    p.add_argument("--mass", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--hbar", type=float, default=argparse.SUPPRESS)
 
 
 def _add_sphere_flags(p: argparse.ArgumentParser):
     _add_trap_flags(p)
-    p.add_argument("--w1", type=float, default=None, help="dimensionless coupling 4 m omega1 R^2 / hbar")
-    p.add_argument("--w2", type=float, default=None, help="dimensionless coupling 4 m omega2 R^2 / hbar")
-    p.add_argument("--omega1", type=float, default=None)
-    p.add_argument("--omega2", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--w1", type=float, default=argparse.SUPPRESS,
+                   help="dimensionless coupling 4 m omega1 R^2 / hbar")
+    p.add_argument("--w2", type=float, default=argparse.SUPPRESS,
+                   help="dimensionless coupling 4 m omega2 R^2 / hbar")
+    p.add_argument("--omega1", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--omega2", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--radius", type=float, default=argparse.SUPPRESS)
 
 
-def _mass_hbar(args) -> tuple[float, float]:
-    """m and hbar from --mass/--hbar, each 1 by default."""
-    return (args.mass if args.mass is not None else 1.0,
-            args.hbar if args.hbar is not None else 1.0)
+def _given(args, flags: dict) -> dict:
+    """Model field -> value of each of `flags` the command line gave."""
+    return {field: getattr(args, flag) for flag, field in flags.items() if flag in args}
 
 
 def _quantum_numbers(args, n_flag: str, n: int) -> QuantumNumbers:
@@ -139,26 +144,13 @@ def _quantum_numbers(args, n_flag: str, n: int) -> QuantumNumbers:
 
 
 def _resolve_params(args) -> tuple[OscillatorParams, dict]:
-    w_given = args.w1 is not None or args.w2 is not None
-    phys_given = any(getattr(args, name) is not None for name in _PHYSICAL_FLAGS)
-    if w_given and phys_given:
+    couplings, physical = _given(args, _COUPLING_FLAGS), _given(args, _PHYSICAL_FLAGS)
+    if couplings and physical:
         raise UsageError("--w1/--w2 are mutually exclusive with the physical parameter group")
-    m, hbar = _mass_hbar(args)
-    if phys_given:
-        params = OscillatorParams(
-            N=args.dim,
-            R=args.radius if args.radius is not None else 1.0,
-            m=m,
-            hbar=hbar,
-            omega1=args.omega1 if args.omega1 is not None else 0.0,
-            omega2=args.omega2 if args.omega2 is not None else 0.0,
-        )
+    if physical:
+        params = OscillatorParams(args.dim, **physical)
     else:
-        params = OscillatorParams.from_couplings(
-            N=args.dim,
-            w1=args.w1 if args.w1 is not None else 0.0,
-            w2=args.w2 if args.w2 is not None else 0.0,
-        )
+        params = OscillatorParams.from_couplings(args.dim, **couplings)
     config = {
         "dim": params.N,
         "w1": params.w1,
@@ -233,8 +225,7 @@ def _cmd_euclid_limit(args):
         raise UsageError("--radii needs at least 3 ascending values")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise UsageError("--radii must be strictly ascending")
-    m, hbar = _mass_hbar(args)
-    eparams = EuclideanParams(N=args.dim, omega=args.omega, chi=args.chi, m=m, hbar=hbar)
+    eparams = EuclideanParams(args.dim, args.omega, args.chi, **_given(args, _PHYSICAL_FLAGS))
     qn = _quantum_numbers(args, "--nr", args.nr)
     config = {"dim": eparams.N, "omega": eparams.omega, "chi": eparams.chi, "mass": eparams.m,
               "hbar": eparams.hbar, "nr": qn.n_theta, "l": qn.L, "radii": radii}

@@ -93,9 +93,9 @@ class OscillatorParams(Record):
         return self.hbar**2 / (2.0 * self.m * self.R**2)
 
     @classmethod
-    def from_couplings(cls, N: int, w1: float, w2: float,
+    def from_couplings(cls, N: int, w1: float = 0.0, w2: float = 0.0,
                        R: float = 1.0, m: float = 1.0, hbar: float = 1.0):
-        """Build params from the dimensionless couplings (natural units by default)."""
+        """Build params from the couplings (0 by default), in natural units by default."""
         check_real("w1", w1, 0.0)
         check_real("w2", w2, 0.0)
         base = cls(N=N, R=R, m=m, hbar=hbar)  # validates R, m, hbar before R**2 is formed

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 import sphere_osc.verify
 from oracle_forms import mp_epsilon
 from sphere_osc import cli
+from sphere_osc.model import OscillatorParams
 
 CLI = [sys.executable, "-m", "sphere_osc"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,6 +151,34 @@ class TestSpectrumCommand:
                      "--nmax", "0", "--lmax", "0"])
         assert a.stdout == b.stdout
 
+    def test_default_valued_physical_group(self):
+        # each flag at the model's default: the same trap, config and bytes as the zero couplings
+        tail = ["--nmax", "1", "--lmax", "1", "--format", "json"]
+        a = run_cli(["spectrum", "--dim", "3", "--radius", "1", "--mass", "1", "--hbar", "1",
+                     "--omega1", "0", *tail])
+        b = run_cli(["spectrum", "--dim", "3", "--w1", "0", "--w2", "0", *tail])
+        assert a.returncode == b.returncode == 0, a.stderr
+        assert a.stdout == b.stdout
+
+
+# the model field each parameter flag sets; a flag left out takes the constructor's default
+_PHYSICAL_FIELDS = {"omega1": "omega1", "omega2": "omega2", "radius": "R", "mass": "m", "hbar": "hbar"}
+_COUPLING_FIELDS = {"w1": "w1", "w2": "w2"}
+
+
+@pytest.mark.parametrize("flags, build", [(_PHYSICAL_FIELDS, OscillatorParams),
+                                          (_COUPLING_FIELDS, OscillatorParams.from_couplings)],
+                         ids=["physical", "couplings"])
+def test_resolve_params_passes_only_the_given_flags(flags, build):
+    values = dict(zip(flags, (0.5, 1.5, 2.0, 3.0, 0.25)))
+    parser = cli.build_parser()
+    for k in range(1, len(flags) + 1):
+        for subset in itertools.combinations(flags, k):
+            args = parser.parse_args(["spectrum", "--dim", "3", *(f"--{f}={values[f]}" for f in subset)])
+            params, config = cli._resolve_params(args)
+            assert params == build(3, **{flags[f]: values[f] for f in subset}), subset
+            assert (config["mass"], config["hbar"]) == (params.m, params.hbar)
+
 
 class TestWavefunctionCommand:
     def test_free_ground_state_constant(self):
@@ -241,6 +271,12 @@ class TestEuclidLimitCommand:
         res = run_cli(["euclid-limit", "--dim", "2", "--chi", "1", "--radii", "2,4"])
         assert res.returncode == 2
 
+    def test_mass_and_hbar_reach_the_config(self, capsys):
+        argv = "euclid-limit --dim 3 --chi 1.5 --radii 1.5,3,6 --mass 2 --hbar 0.5 --format json"
+        assert cli.main(argv.split()) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["mass"], config["hbar"]) == (2.0, 0.5)
+
     def test_no_omega2_flag(self):
         res = run_cli(["euclid-limit", "--dim", "2", "--chi", "1",
                        "--omega2", "0.5", "--radii", "2,4,8"])
@@ -257,6 +293,12 @@ class TestExitCodes:
     def test_mixed_parameter_groups(self):
         res = run_cli(["spectrum", "--dim", "2", "--w1", "1", "--omega1", "0.5"])
         assert res.returncode == 2
+
+    def test_a_flag_is_given_by_presence_not_value(self):
+        # both flags sit at their defaults, yet one comes from each group
+        res = run_cli(["spectrum", "--dim", "3", "--w2", "0", "--mass", "1"])
+        assert res.returncode == 2
+        assert res.stderr == "usage error: --w1/--w2 are mutually exclusive with the physical parameter group\n"
 
     def test_natural_is_not_a_flag(self, capsys):
         # m = hbar = 1 is the default; there is no flag that pins it
@@ -343,6 +385,22 @@ class TestExitCodes:
         assert res.returncode == 2
         target = "stdout" if to_stdout else "--out /dev/full"
         assert res.stderr == f"usage error: cannot write {target}: No space left on device\n"
+
+    # a process started with fd 1 closed has sys.stdout None (a traceback and exit 1 before)
+    @pytest.mark.parametrize("args", ["verify --dim 3 --w1 5 --w2 2 --levels 2 --lmax 1",
+                                      "spectrum --dim 3"])
+    def test_missing_stdout_is_usage_error(self, args):
+        res = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *args.split()],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage error: cannot write stdout") and res.stderr.count("\n") == 1
+
+    def test_missing_stdout_still_writes_out(self, tmp_path):
+        out = tmp_path / "table.csv"
+        args = ["spectrum", "--dim", "2", "--nmax", "1", "--lmax", "1", "--out", str(out)]
+        res = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *args], capture_output=True)
+        assert res.returncode == 0 and res.stderr == b""
+        assert out.read_bytes() == (GOLDEN / "spectrum_dim2_free.csv").read_bytes()
 
     # both tables are larger than a pipe's buffer, so writes go on after the reader left
     @pytest.mark.parametrize("args, code", [
