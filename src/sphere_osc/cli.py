@@ -304,11 +304,14 @@ def main(argv=None) -> int:
               args.out, args.format)
         return EXIT_OK if ok else EXIT_VERIFICATION
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message, code = f"usage error: {exc}", EXIT_USAGE
     except DomainError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        message, code = f"parameter error: {exc}", EXIT_DOMAIN
+    # the report is best-effort: a closed stderr must not change the exit code
+    if sys.stderr is not None:  # None when fd 2 was closed at start; print(file=None) writes stdout
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr)
+    return code
 
 
 def run():

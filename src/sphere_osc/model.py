@@ -95,7 +95,13 @@ class OscillatorParams(Record):
     @classmethod
     def from_couplings(cls, N: int, w1: float = 0.0, w2: float = 0.0,
                        R: float = 1.0, m: float = 1.0, hbar: float = 1.0):
-        """Build params from the couplings (0 by default), in natural units by default."""
+        """Build params from the couplings (0 by default), in natural units by default.
+
+        The params store omega, and `.w1`/`.w2` rebuild w from it.  In natural units
+        (R = m = hbar = 1) both steps scale by a power of two, so w comes back exactly for
+        w = 0 and every w of at least 4x the smallest normal double; with other R, m, hbar it
+        comes back within a few units in the last place, not always exactly.
+        """
         check_real("w1", w1, 0.0)
         check_real("w2", w2, 0.0)
         base = cls(N=N, R=R, m=m, hbar=hbar)  # validates R, m, hbar before R**2 is formed
@@ -178,7 +184,8 @@ def finite_radius_params(eparams: EuclideanParams, R: float) -> OscillatorParams
     """Spherical setup whose large-R limit is the given flat-space oscillator.
 
     omega1 is kept independent of R while omega2 = hbar * chi / (4 m R^2),
-    so the second coupling stays pinned at w2 = chi for every radius.
+    so the second coupling stays pinned at w2 = chi for every radius, up to rounding: w2 is
+    rebuilt from omega2 and can differ from chi in the last place.
     """
     base = OscillatorParams(N=eparams.N, R=R, m=eparams.m, hbar=eparams.hbar,
                             omega1=eparams.omega)  # validates R before R**2 is formed

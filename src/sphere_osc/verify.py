@@ -36,7 +36,8 @@ _LOG2 = math.log(2.0)
 # for the lowest levels.
 MAX_QUAD_NODES = 2000
 MAX_FD_LEVELS = 20
-# FD grid sizes of build_discretized_operator: a floor and a work cap (fd_eigensolve: 6326 at MAX_MU).
+# FD grid sizes of build_discretized_operator: a floor and a work cap (fd_eigensolve: 6326 at MAX_MU;
+# node_count's grid stops here from n_max = 579).
 MIN_GRID_POINTS = 500
 MAX_GRID_POINTS = 29_000
 # Bisection width of fd_eigensolve; stebz's default, eps * |T|_1, grows with the pole rows.
@@ -335,22 +336,32 @@ def build_discretized_operator(params: OscillatorParams, L: int,
     return diagonal, np.full(n_pts - 1, -1.0 / h**2)
 
 
+def _coarse_points(params: OscillatorParams, L: int, k_levels: int) -> int:
+    """Points of the FD oracle's coarse grid for the lowest k_levels states of level L.
+
+    max(floor, 50 k_levels, ceil(100 sqrt(mu_max))), capped at MAX_GRID_POINTS: a state's
+    width scales like 1/sqrt(mu) and level n has n nodes, so the grid resolves each level as
+    finely as 1000 points do at mu = 100 or at 20 levels.  The floor is MIN_GRID_POINTS where
+    both pole exponents mu + 1/2 reach _MATCHED_EXPONENT_MAX, and 1000 where a pole takes the
+    matched stencil, whose error does not fall steadily with the grid (free trap, L = 0:
+    3.1e-7 at 500 points, 1.1e-7 at 700).  fd_eigensolve (k_levels <= MAX_FD_LEVELS) never
+    reaches the cap: at MAX_MU its coarse grid has 3163 points.
+    """
+    mu1, mu2 = eigenfunctions.checked_mu(params, L)
+    floor = MIN_GRID_POINTS if min(mu1, mu2) + 0.5 >= _MATCHED_EXPONENT_MAX else 1000
+    return min(max(floor, 50 * k_levels, math.ceil(100.0 * math.sqrt(max(mu1, mu2)))), MAX_GRID_POINTS)
+
+
 def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray:
     """Lowest k_levels dimensionless eigenvalues of the reduced operator: the FD oracle.
 
-    One Richardson step over a coarse grid and a fine one of twice its points cancels the
-    O(h^2) error of either grid.  coarse = max(floor, 50 k_levels, ceil(100 sqrt(mu_max))):
-    a state's width scales like 1/sqrt(mu) and level n has n nodes, so the grid resolves
-    each level as finely as 1000 points do at mu = 100 or at 20 levels.  The floor is
-    MIN_GRID_POINTS where both pole exponents mu + 1/2 reach _MATCHED_EXPONENT_MAX, and 1000
-    where a pole takes the matched stencil, whose error does not fall steadily with the grid
-    (free trap, L = 0: 3.1e-7 at 500 points, 1.1e-7 at 700).  Each grid is bisected to a
-    width of _BISECTION_TOL; returned ascending, in units of hbar^2 / (2 m R^2).
+    One Richardson step over a coarse grid (_coarse_points, the rule node_count counts on
+    too) and a fine one of twice its points cancels the O(h^2) error of either grid.  Each
+    grid is bisected to a width of _BISECTION_TOL; returned ascending, in units of
+    hbar^2 / (2 m R^2).
     """
     check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
-    mu1, mu2 = eigenfunctions.checked_mu(params, L)
-    floor = MIN_GRID_POINTS if min(mu1, mu2) + 0.5 >= _MATCHED_EXPONENT_MAX else 1000
-    coarse = max(floor, 50 * k_levels, math.ceil(100.0 * math.sqrt(max(mu1, mu2))))
+    coarse = _coarse_points(params, L, k_levels)
     fine = 2 * coarse
     scaled = []
     for points in (fine, coarse):
@@ -359,14 +370,15 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
 
 
 def node_count(params: OscillatorParams, L: int, n_max: int) -> list[int]:
-    """Sign changes of F_n, n = 0..n_max, on 10 000 equispaced interior points of (0, pi).
+    """Sign changes of F_n, n = 0..n_max, on the FD oracle's coarse grid for n_max + 1 states.
 
-    The envelope is positive inside (0, pi), so F changes sign where its
-    polynomial factor does; the factor's zeros are skipped.  The grid is
-    built per call: as a module constant it raised the peak RSS of every
-    command that imports verify by 0.2 MiB.
+    That grid (_coarse_points, cell-centred in (0, pi)) resolves each of the block's states
+    for the eigensolve, so it resolves their nodes too.  The envelope is positive inside
+    (0, pi), so F changes sign where its polynomial factor does; the factor's zeros are
+    skipped.
     """
-    grid = np.linspace(0.0, math.pi, 10_002)[1:-1]
+    points = _coarse_points(params, L, check_int("n_max", n_max, 0) + 1)
+    grid = (np.arange(points) + 0.5) * (math.pi / points)
     return [int(np.count_nonzero(np.diff(sign[sign != 0.0])))
             for _, sign in eigenfunctions.log_abs_F_rows(params, L, n_max, grid)]
 

@@ -395,6 +395,22 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stderr.startswith("usage error: cannot write stdout") and res.stderr.count("\n") == 1
 
+    # a closed stderr loses the report, not the exit code (exit 1 before)
+    @pytest.mark.parametrize("args, code", [("spectrum --dim 1", 3),
+                                            ("spectrum --dim 3 --w2 0 --mass 1", 2),
+                                            ("verify --dim 3 --levels 20", 3)])
+    def test_missing_stderr_keeps_the_exit_code(self, args, code):
+        res = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *CLI, *args.split()],
+                             capture_output=True, text=True)
+        assert res.returncode == code
+        assert res.stdout == ""
+
+    def test_no_stderr_object_keeps_stdout_clean(self, monkeypatch, capsys):
+        # Python sets sys.stderr to None when fd 2 is closed at start; print(file=None) goes to stdout
+        monkeypatch.setattr(sys, "stderr", None)
+        assert cli.main(["spectrum", "--dim", "1"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_missing_stdout_still_writes_out(self, tmp_path):
         out = tmp_path / "table.csv"
         args = ["spectrum", "--dim", "2", "--nmax", "1", "--lmax", "1", "--out", str(out)]

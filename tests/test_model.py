@@ -42,6 +42,16 @@ class TestParams:
         assert rel(p.w1, 3.0) <= 1e-15
         assert rel(p.w2, 0.7) <= 1e-15
 
+    def test_from_couplings_exact_in_natural_units(self):
+        # R = m = hbar = 1, the CLI's --w1/--w2 mode: omega = w / 4 and back are power-of-two
+        # scalings, so the CLI computes with the w it was given (a subnormal w loses low bits)
+        rng = np.random.default_rng(29)
+        draws = (10.0 ** rng.uniform(-307.0, 308.0, (2000, 2))).tolist()
+        edges = [(0.0, 4.0 * np.finfo(float).tiny), (np.finfo(float).max, 1.0)]
+        for w1, w2 in draws + edges:
+            p = OscillatorParams.from_couplings(3, w1, w2)
+            assert (p.w1, p.w2) == (w1, w2)
+
     @pytest.mark.parametrize("kwargs", [
         dict(N=1), dict(N=2, R=0.0), dict(N=2, m=-1.0), dict(N=2, hbar=0.0),
         dict(N=2, omega1=-0.1), dict(N=2, omega2=math.nan),

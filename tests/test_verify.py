@@ -15,6 +15,7 @@ from sphere_osc.eigenfunctions import (
     MAX_MU,
     eval_F,
     eval_f_euclidean,
+    log_abs_F_rows,
     project_to_plane,
     r_from_theta,
     theta_from_r,
@@ -481,6 +482,37 @@ class TestNodeCount:
     def test_counts(self):
         p = OscillatorParams.from_couplings(2, 5.0, 2.0)
         assert node_count(p, 2, 4) == list(range(5))
+
+    # the envelope corners, both pole kinds, large N and the verify-sweep trap
+    @pytest.mark.parametrize("N, w1, w2", [(3, 999.0, 999.0), (3, 0.0, 998.0), (3, 998.0, 0.0),
+                                           (2002, 0.0, 0.0), (2, 0.0, 0.0), (3, 5.0, 2.0),
+                                           (2, 0.3, 40.0), (5, 300.0, 700.0)])
+    def test_matches_a_dense_grid(self, N, w1, w2):
+        # node_count counts on the FD oracle's coarse grid; the reference on 10 000 interior points
+        p = OscillatorParams.from_couplings(N, w1, w2)
+        dense = np.linspace(0.0, math.pi, 10_002)[1:-1]
+        for L in (0, 1, 3):
+            if max(mu(p, L, 1), mu(p, L, 2)) > MAX_MU:  # (2002, 0, 0) past L = 0
+                continue
+            want = [int(np.count_nonzero(np.diff(sign[sign != 0.0])))
+                    for _, sign in log_abs_F_rows(p, L, 19, dense)]
+            assert node_count(p, L, 19) == want == list(range(20)), f"L={L}"
+
+    def test_grid_is_capped(self, monkeypatch):
+        # 50 points a state would give 601 states 30 050 points: the grid stops at the cap,
+        # where the sweep of n_theta = 600 still overflows
+        import sphere_osc.eigenfunctions as ef
+        original, sizes = ef.log_abs_F_rows, []
+
+        def recorded(params, L, n_max, thetas, n_min=0):
+            sizes.append(len(thetas))
+            yield from original(params, L, n_max, thetas, n_min)
+
+        monkeypatch.setattr(ef, "log_abs_F_rows", recorded)
+        with pytest.raises(RangeError):
+            node_count(W999_999, 0, 600)
+        assert node_count(W999_999, 0, 19) == list(range(20))
+        assert sizes == [MAX_GRID_POINTS, math.ceil(100.0 * math.sqrt(mu(W999_999, 0, 1)))]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_degree_shift_flagged(self, monkeypatch, k):
