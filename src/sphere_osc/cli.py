@@ -197,8 +197,7 @@ def _cmd_verify(args):
     params, config = _resolve_params(args)
     check_int("--levels", args.levels, 0)
     check_int("--lmax", args.lmax, 0)
-    config = {**config, "levels": args.levels, "lmax": args.lmax, "perturb_energy": args.perturb_energy}
-    factor = 1.0 + args.perturb_energy
+    config = {**config, "levels": args.levels, "lmax": args.lmax}
     from . import verify as verify_mod
     from .eigenfunctions import checked_mu
 
@@ -207,7 +206,7 @@ def _cmd_verify(args):
     checked_mu(params, args.lmax)
 
     reports = [rep for L in range(args.lmax + 1)
-               for rep in verify_mod.verification_report(params, L, args.levels, energy_factor=factor)]
+               for rep in verify_mod.verification_report(params, L, args.levels)]
 
     rows = [(rep.state.n_theta, rep.state.L, rep.normalization_error, rep.max_ode_residual,
              rep.oracle_energy_relerr, rep.node_count_match, rep.passed) for rep in reports]
@@ -273,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sphere_flags(p)
     p.add_argument("--levels", type=int, default=2, help="largest n_theta")
     p.add_argument("--lmax", type=int, default=2)
-    p.add_argument("--perturb-energy", type=float, default=0.0,
-                   help="test hook: relative energy perturbation the detectors must flag")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -293,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stderr is None:  # fd 2 closed at start: argparse and print(file=None) would write stdout
+        with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
+            return main(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -307,10 +307,8 @@ def main(argv=None) -> int:
         message, code = f"usage error: {exc}", EXIT_USAGE
     except DomainError as exc:
         message, code = f"parameter error: {exc}", EXIT_DOMAIN
-    # the report is best-effort: a closed stderr must not change the exit code
-    if sys.stderr is not None:  # None when fd 2 was closed at start; print(file=None) writes stdout
-        with contextlib.suppress(OSError):
-            print(message, file=sys.stderr)
+    with contextlib.suppress(OSError):  # the report is best-effort: it must not change the exit code
+        print(message, file=sys.stderr)
     return code
 
 

@@ -163,7 +163,7 @@ def project_to_plane(params: OscillatorParams, qn: QuantumNumbers, r):
 
 
 def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
-    """Normalized flat-space radial function of the centrifugally perturbed trap, scalar or array."""
+    """Normalized flat-space radial function of the harmonic trap plus chi^2 / r^2, scalar or array."""
     n_r = check_int("n_r", n_r, 0)
     rs = _points("r", r, 0.0, np.finfo(float).max)  # finite
     if eparams.omega <= 0.0:

@@ -19,6 +19,7 @@ from sphere_osc import cli
 from sphere_osc.model import OscillatorParams
 
 CLI = [sys.executable, "-m", "sphere_osc"]
+MUTANTS_SCRIPT = Path(__file__).parent / "mutants.py"
 GOLDEN = Path(__file__).parent / "golden"
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 
@@ -46,7 +47,7 @@ STDOUT_PINS = [
      "bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412"),
     # list columns (ints, floats, bools, None, strings) rather than arrays
     ("verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2 --format json",
-     "c9d31cc18f8cf27783f253a64b6118d66f916c1519ca7c24a5def42f74c5e4e4"),
+     "fe91125080d8d48b3be3c7f5a18ce21d17a650fed1916dbaf51595cb5abae8a1"),
     ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
      "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
 ]
@@ -54,6 +55,11 @@ STDOUT_PINS = [
 
 def run_cli(args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
+
+
+def mutant_cli(name):
+    """The command line run under the mutant `name` of tests/mutants.py."""
+    return [sys.executable, str(MUTANTS_SCRIPT), "run", name]
 
 
 def parse_csv(text):
@@ -221,11 +227,13 @@ class TestVerifyCommand:
         assert all(r[-1] == "true" for r in rows)
 
     def test_perturbation_exits_one(self):
-        res = run_cli(["verify", "--dim", "2", "--w1", "1", "--w2", "1",
-                       "--levels", "1", "--lmax", "0", "--perturb-energy", "1e-3"])
-        assert res.returncode == 1
+        # every level 1e-3 too high: each row of the golden argv fails
+        res = subprocess.run(mutant_cli("epsilon") + ["verify", "--dim", "3", "--w1", "5", "--w2", "2",
+                                                      "--levels", "4", "--lmax", "2"],
+                             capture_output=True, text=True)
+        assert res.returncode == 1 and res.stderr == ""
         _, rows = parse_csv(res.stdout)
-        assert any(r[-1] == "false" for r in rows)
+        assert [r[-1] for r in rows] == ["false"] * 15
 
     @pytest.mark.parametrize("args, rows", [
         # n_theta = 8 missed the oracle bound on one 8000-point grid at every L
@@ -320,9 +328,6 @@ class TestExitCodes:
         "verify --dim 3 --w1 2000 --w2 2 --levels 2 --lmax 0",
         # R**2 underflows, so the energy unit divides by zero
         "spectrum --dim 3 --radius 1e-200 --nmax 0 --lmax 0",
-        "verify --dim 2 --w1 5 --w2 2 --levels 0 --lmax 0 --perturb-energy nan",
-        # the perturbed level overflows to inf before the FD solve
-        "verify --dim 3 --w1 5 --w2 2 --levels 1 --lmax 1 --perturb-energy 1e308",
         # the level overflows
         "spectrum --dim 3 --w1 1e300 --w2 1e300",
         # size caps, checked before anything is allocated
@@ -396,9 +401,11 @@ class TestExitCodes:
         assert res.stderr.startswith("usage error: cannot write stdout") and res.stderr.count("\n") == 1
 
     # a closed stderr loses the report, not the exit code (exit 1 before)
+    # with fd 2 closed at start sys.stderr is None, and argparse then prints its usage line to stdout
     @pytest.mark.parametrize("args, code", [("spectrum --dim 1", 3),
                                             ("spectrum --dim 3 --w2 0 --mass 1", 2),
-                                            ("verify --dim 3 --levels 20", 3)])
+                                            ("verify --dim 3 --levels 20", 3),
+                                            ("spectrum --dim 3 --bogus 1", 2)])
     def test_missing_stderr_keeps_the_exit_code(self, args, code):
         res = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *CLI, *args.split()],
                              capture_output=True, text=True)
@@ -419,13 +426,14 @@ class TestExitCodes:
         assert out.read_bytes() == (GOLDEN / "spectrum_dim2_free.csv").read_bytes()
 
     # both tables are larger than a pipe's buffer, so writes go on after the reader left
-    @pytest.mark.parametrize("args, code", [
-        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", 0),
-        # the command's own exit code survives the closed pipe
-        ("verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 49 --perturb-energy 1e-3", 1),
+    @pytest.mark.parametrize("args, mutant, code", [
+        ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", None, 0),
+        # the command's own exit code survives the closed pipe: a failing table, run under a mutant
+        ("verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 49", "epsilon", 1),
     ])
-    def test_closed_stdout_is_quiet(self, args, code):
-        proc = subprocess.Popen(CLI + args.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    def test_closed_stdout_is_quiet(self, args, mutant, code):
+        command = mutant_cli(mutant) if mutant else CLI
+        proc = subprocess.Popen(command + args.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
@@ -580,7 +588,9 @@ sys.exit(cli.main())
 @pytest.mark.parametrize("args, code", [
     ("spectrum --dim 3 --w1 5 --w2 2", 0),
     ("spectrum --dim 1", 3),
-    ("verify --dim 2 --w1 1 --w2 1 --levels 1 --lmax 0 --perturb-energy 1e-3", 1),
+    ("verify --dim 2 --w1 1 --w2 1 --levels 1 --lmax 0", 0),
+    # the errors do not fall monotonically with R this far below the limit: exit 1
+    ("euclid-limit --dim 3 --chi 1.5 --radii 1e-3,2e-3,4e-3 --nr 3 --l 2", 1),
 ])
 def test_run_freezes_the_gc_before_exit(args, code):
     run, main = (subprocess.run([sys.executable, "-c", _FREEZE_PROBE, entry, *args.split()],

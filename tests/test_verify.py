@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
+from mutants import MUTANTS
 from oracle_forms import jacobi_log_norm_sq
 from sphere_osc import cli
 from sphere_osc import verify as verify_mod
@@ -291,7 +292,8 @@ class TestOdeResidual:
         assume(max(mu(p, L, 1), mu(p, L, 2)) <= MAX_MU)
         levels = closed_form_levels(p, L, 5)
         residuals = ode_residual(p, L, levels)
-        perturbed = verification_report(p, L, 5, energy_factor=1.001)
+        with MUTANTS["epsilon"].patched():  # every level 1e-3 too high
+            perturbed = verification_report(p, L, 5)
         for n, eps in enumerate(levels):
             assert residuals[n] <= 1e-8
             if abs(eps) >= 1.0:
@@ -299,7 +301,8 @@ class TestOdeResidual:
 
     def test_perturbed_energy_detected(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        assert verification_report(p, 0, 0, energy_factor=1.001)[0].max_ode_residual >= 1e-4
+        with MUTANTS["epsilon"].patched():
+            assert verification_report(p, 0, 0)[0].max_ode_residual >= 1e-4
 
     def test_derivative_sweeps_stop_at_their_last_row(self):
         # the unused rows P_n^(mu+1) (first block) and P_(n-1)^(mu+2) (second block,
@@ -623,7 +626,8 @@ class TestVerificationReport:
 
     def test_perturbation_flags(self):
         p = OscillatorParams.from_couplings(2, 1.0, 1.0)
-        rep = verification_report(p, 0, 1, energy_factor=1.001)[1]
+        with MUTANTS["epsilon"].patched():
+            rep = verification_report(p, 0, 1)[1]
         assert rep.max_ode_residual > 1e-4
         assert rep.oracle_energy_relerr > 1e-4
         assert not rep.passed
