@@ -15,7 +15,7 @@ from importlib import import_module
 _SUBMODULE = {
     "DomainError": "errors", "RangeError": "errors",
     "OscillatorParams": "model", "QuantumNumbers": "model", "EuclideanParams": "model",
-    "mu": "model", "potential_theta": "model", "big_lambda": "model",
+    "mu": "model", "big_lambda": "model",
     "finite_radius_params": "model",
     "SpectrumTable": "spectrum", "epsilon": "spectrum", "energy": "spectrum",
     "energy_euclidean": "spectrum", "spectrum_table": "spectrum",
@@ -23,7 +23,7 @@ _SUBMODULE = {
     "r_from_theta": "eigenfunctions", "theta_from_r": "eigenfunctions",
     "project_to_plane": "eigenfunctions",
     "VerificationReport": "verify",
-    "gauss_jacobi_rule": "verify", "normalization_check": "verify", "overlap_matrix": "verify",
+    "gauss_jacobi_rule": "verify", "normalization_check": "verify",
     "ode_residual": "verify", "fd_eigensolve": "verify", "node_count": "verify",
     "euclidean_limit_scan": "verify", "verification_report": "verify",
 }

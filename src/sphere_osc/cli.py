@@ -79,7 +79,10 @@ def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
 
         head, tail = json.dumps({"config": config, "rows": [None]}, indent=2).rsplit("null", 1)
         row = "{{" + ",".join(f"\n      {json.dumps(key)}: {{}}" for key in header) + "\n    }}"
-        sep, tail, number, cell = ",\n    ", tail + "\n", "%r", json.dumps
+        sep, tail, number = ",\n    ", tail + "\n", "%r"
+
+        def cell(v):  # RFC 8259 has no NaN or Infinity: a float that is not finite is null
+            return "null" if isinstance(v, float) and not math.isfinite(v) else json.dumps(v)
 
     def slot(col):  # an array's slot takes `number` over its values, a list's `%s` over its cells
         if not hasattr(col, "tolist"):

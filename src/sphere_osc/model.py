@@ -13,7 +13,7 @@ and converts to physical units at the API boundary.
 
 import math
 
-from .errors import DomainError, RangeError, check_int, check_range, check_real
+from .errors import DomainError, RangeError, check_int, check_real
 
 
 class Record:
@@ -108,10 +108,6 @@ class OscillatorParams(Record):
         scale = hbar / (4.0 * m * R**2)
         return cls(base.N, base.R, base.m, base.hbar, w1 * scale, w2 * scale)
 
-    def swapped(self) -> "OscillatorParams":
-        """Same setup with the two trap frequencies exchanged."""
-        return type(self)(self.N, self.R, self.m, self.hbar, self.omega2, self.omega1)
-
 
 class QuantumNumbers(Record):
     """Quasi-radial index n_theta and angular index L labeling one state."""
@@ -156,23 +152,6 @@ def half_index(N: int, L: int) -> float:
 def mu(params: OscillatorParams, L: int, k: int) -> float:
     """Effective weight exponent sqrt((L + N/2 - 1)^2 + w_k^2) for trap k."""
     return math.hypot(half_index(params.N, L), params.coupling(k))
-
-
-def potential_theta(params: OscillatorParams, theta: float) -> float:
-    """Latitudinal potential, tan^2/cot^2 form.
-
-    At a pole where the corresponding frequency is nonzero the potential is
-    reported as +infinity rather than raising.
-    """
-    check_range("theta", theta, 0.0, math.pi)
-    c1 = 2.0 * params.m * params.omega1**2 * params.R**2
-    c2 = 2.0 * params.m * params.omega2**2 * params.R**2
-    if theta == 0.0:
-        return math.inf if c2 > 0.0 else 0.0
-    if theta == math.pi:
-        return math.inf if c1 > 0.0 else 0.0
-    t2 = math.tan(0.5 * theta) ** 2
-    return c1 * t2 + c2 / t2
 
 
 def big_lambda(eparams: EuclideanParams, L: int) -> float:

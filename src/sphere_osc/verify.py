@@ -229,15 +229,9 @@ def normalization_check(params: OscillatorParams, L: int, n_max: int) -> np.ndar
 
     Change of variable x = cos(theta) with the n_max + 1 node Gauss-Jacobi
     rule matched to level L's weight exponents (alpha = mu_L2, beta = mu_L1);
-    overlap_matrix's diagonal, valid up to the limit of F's Jacobi sweep.
+    the diagonal of _weighted_rows' overlaps a @ a.T, valid up to the limit of F's Jacobi sweep.
     """
     return np.sum(_weighted_rows(params, L, n_max) ** 2, axis=1)
-
-
-def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
-    """Overlaps of the states n_theta = 0..n_max at fixed L (target: identity), n_max + 1 nodes."""
-    a = _weighted_rows(params, L, n_max)
-    return a @ a.T
 
 
 def ode_residual(params: OscillatorParams, L: int, levels) -> np.ndarray:

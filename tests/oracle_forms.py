@@ -8,6 +8,8 @@ hypergeometric series and the Jacobi norm check the recurrences and the
 quadrature rule.  The mpmath eigenfunctions (half-angle, projected
 in r, and the Gegenbauer form of the symmetric trap) check eval_F and
 project_to_plane, and the mpmath flat radial function eval_f_euclidean.
+The potential, the mirrored trap and the overlap matrix are the model's
+symmetries and the quadrature's orthogonality, which only the tests ask for.
 """
 
 import math
@@ -20,6 +22,35 @@ from sphere_osc.errors import RangeError, check_int, check_range, check_real
 from sphere_osc.model import OscillatorParams, half_index, reduce_L
 from sphere_osc.special import JacobiParams, log_gamma
 from sphere_osc.spectrum import _coupling_shift
+from sphere_osc.verify import _weighted_rows
+
+
+def swapped(params: OscillatorParams) -> OscillatorParams:
+    """The same setup with the two trap frequencies exchanged."""
+    return OscillatorParams(params.N, params.R, params.m, params.hbar, params.omega2, params.omega1)
+
+
+def potential_theta(params: OscillatorParams, theta: float) -> float:
+    """Latitudinal potential, tan^2/cot^2 form.
+
+    At a pole where the corresponding frequency is nonzero the potential is
+    reported as +infinity rather than raising.
+    """
+    check_range("theta", theta, 0.0, math.pi)
+    c1 = 2.0 * params.m * params.omega1**2 * params.R**2
+    c2 = 2.0 * params.m * params.omega2**2 * params.R**2
+    if theta == 0.0:
+        return math.inf if c2 > 0.0 else 0.0
+    if theta == math.pi:
+        return math.inf if c1 > 0.0 else 0.0
+    t2 = math.tan(0.5 * theta) ** 2
+    return c1 * t2 + c2 / t2
+
+
+def overlap_matrix(params: OscillatorParams, L: int, n_max: int) -> np.ndarray:
+    """Overlaps of the states n_theta = 0..n_max at fixed L (target: identity), n_max + 1 nodes."""
+    a = _weighted_rows(params, L, n_max)
+    return a @ a.T
 
 
 def numpy_levels(params: OscillatorParams, n, L_values, unit: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from oracle_forms import (
     hyp2f1_terminating,
     mp_eval_F,
     mp_eval_F_gegenbauer,
+    overlap_matrix,
 )
 from sphere_osc.eigenfunctions import eval_F, eval_f_euclidean
 from sphere_osc.model import (
@@ -46,7 +47,6 @@ from sphere_osc.verify import (
     euclidean_limit_scan,
     fd_eigensolve,
     loglog_slope,
-    overlap_matrix,
     verification_report,
 )
 

@@ -11,8 +11,8 @@ PUBLIC_NAMES = [
     "QuantumNumbers", "RangeError", "SpectrumTable", "VerificationReport",
     "big_lambda", "energy", "energy_euclidean", "epsilon", "euclidean_limit_scan", "eval_F",
     "eval_f_euclidean", "fd_eigensolve", "finite_radius_params", "gauss_jacobi_rule", "mu",
-    "node_count", "normalization_check", "ode_residual", "overlap_matrix", "potential_theta",
-    "project_to_plane", "r_from_theta", "spectrum_table", "theta_from_r", "verification_report",
+    "node_count", "normalization_check", "ode_residual", "project_to_plane", "r_from_theta",
+    "spectrum_table", "theta_from_r", "verification_report",
 ]
 
 

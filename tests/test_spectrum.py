@@ -12,6 +12,7 @@ from oracle_forms import (
     epsilon_product_omega2_zero,
     mp_epsilon,
     numpy_levels,
+    swapped,
 )
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.model import (
@@ -61,7 +62,7 @@ class TestGeneralEnergy:
 
     def test_swap_symmetry_is_exact(self):
         p = OscillatorParams.from_couplings(4, 3.0, 1.2)
-        q = p.swapped()
+        q = swapped(p)
         for n in range(4):
             for L in range(3):
                 qn = QuantumNumbers(n, L)

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from mutants import MUTANTS
-from oracle_forms import jacobi_log_norm_sq
+from oracle_forms import jacobi_log_norm_sq, overlap_matrix
 from sphere_osc import cli
 from sphere_osc import verify as verify_mod
 from sphere_osc.eigenfunctions import (
@@ -45,7 +45,6 @@ from sphere_osc.verify import (
     node_count,
     normalization_check,
     ode_residual,
-    overlap_matrix,
     verification_report,
 )
 
