@@ -12,6 +12,12 @@ A row with `via` runs `python VIA ARGV` with this interpreter instead: a mutant
 of tests/mutants.py, or a probe that runs the CLI in process and then looks at
 what it loaded.  The probes need a fresh interpreter, so modules other tests
 imported do not count.
+
+This table is the one home of every check that takes one process and looks only
+at its exit code and the bytes of its stdout and stderr: byte pins, module-load
+probes and exit codes.  A new such check is a new row, not a new test; tests
+elsewhere spawn the CLI only to compare two runs, to read an --out file or a
+full device, or to parse values out of the output.
 """
 
 import argparse
@@ -20,6 +26,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -66,12 +74,22 @@ def lines(n: int) -> Check:
     return Check(f"{n} lines", lambda data: data.count(b"\n") == n and data.endswith(b"\n"))
 
 
-def rows_ending(cell: str, n: int) -> Check:
-    """A CSV header and n rows whose last cell is `cell`."""
+def usage(line: str) -> Check:
+    """argparse's rejection: its usage message, ending in the error line `line`."""
+    return Check(f"a usage message ending {line!r}",
+                 lambda data: data.startswith(b"usage: sphere-osc") and data.endswith(f"\n{line}\n".encode()))
+
+
+VERIFY_HEADER = "n_theta,L,normalization_error,max_ode_residual,oracle_energy_relerr,node_count_match,ok"
+
+
+def verify_rows(n: int, ok: str) -> Check:
+    """verify's CSV header and n rows whose `ok` cell is `ok`."""
     def test(data):
         rows = data.decode().split("\n")
-        return rows[-1] == "" and len(rows) == n + 2 and all(r.endswith("," + cell) for r in rows[1:-1])
-    return Check(f"a header and {n} rows ending ,{cell}", test)
+        return (rows[0] == VERIFY_HEADER and rows[-1] == "" and len(rows) == n + 2
+                and all(r.endswith("," + ok) for r in rows[1:-1]))
+    return Check(f"verify's header and {n} rows ending ,{ok}", test)
 
 
 def _strict_json(data: bytes) -> bool:
@@ -120,12 +138,17 @@ def _in_process(prelude: str = "", absent: tuple = ()) -> tuple:
 
 
 VERIFY_GOLDEN = "verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2"
+WAVEFUNCTION_PIN = "wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid"
+EUCLID_LIMIT_PIN = "euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12"
+# what `spectrum` and its errors must not load: it forms its levels in plain floats
+SPECTRUM_ABSENT = ("numpy", "dataclasses", "inspect")
 
-# Byte pins: the golden files and the two digests below were taken with numpy 2.4.6 on a host
-# whose numpy dispatches AVX-512. Without that dispatch (NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR") the verify golden and the verify JSON digest move in their last
-# digits; the spectrum pins hold (ROADMAP item 15).
+# Byte pins: the golden files and the sha256 digests below were taken with numpy 2.4.6 on a
+# host whose numpy dispatches AVX-512. Without that dispatch (NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR") the verify golden, the verify JSON digest and the three wavefunction
+# digests move in their last digits; the spectrum and euclid-limit pins hold (ROADMAP item 15).
 ROWS = [
+    # --- byte pins
     Row("spectrum-golden-free", "spectrum --dim 2 --w1 0 --w2 0 --nmax 1 --lmax 1", 0,
         golden("spectrum_dim2_free.csv")),
     Row("spectrum-golden-symmetric", "spectrum --dim 3 --w1 2 --w2 2 --nmax 0 --lmax 0", 0,
@@ -137,64 +160,170 @@ ROWS = [
     # an explicit BLAS thread count gives the same bytes
     Row("verify-golden-openblas-2-threads", VERIFY_GOLDEN, 0, golden("verify_dim3_w5_2.csv"),
         env={"OPENBLAS_NUM_THREADS": "2"}),
-    # `spectrum` forms its levels in plain floats and loads no numpy, dataclasses or inspect
-    Row("spectrum-loads-no-numpy", "spectrum --dim 3 --w1 5 --w2 2", 0, lines(17),
-        via=_in_process(absent=("numpy", "dataclasses", "inspect"))),
-    # `wavefunction` evaluates no level formula and loads no sphere_osc.spectrum
-    Row("wavefunction-loads-no-spectrum", "wavefunction --dim 3 --grid 5", 0, lines(6),
-        via=_in_process(absent=("sphere_osc.spectrum",))),
+    Row("spectrum-sha256", "spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", 0,
+        sha256("d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504")),
+    Row("spectrum-json-sha256", "spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json", 0,
+        sha256("7fd6a9ec76adfbb8750c283f598bd2d93fb31b9654ded0fbfd4054eabe171913")),
+    # a JSON table of several write chunks (cli._CHUNK_ROWS rows each)
+    Row("spectrum-json-chunks", "spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json", 0,
+        sha256("bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412")),
+    Row("wavefunction-sha256", f"{WAVEFUNCTION_PIN} 2000", 0,
+        sha256("af2bc0b282b3bc406d0e95713fcbc1837e12650f08355995da3adaa876dd4676")),
+    Row("wavefunction-projected-sha256", f"{WAVEFUNCTION_PIN} 2000 --projected", 0,
+        sha256("4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73")),
+    Row("wavefunction-projected-json-chunks", f"{WAVEFUNCTION_PIN} 20000 --projected --format json", 0,
+        sha256("efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9")),
+    # list columns (floats, None, strings) rather than arrays
+    Row("euclid-limit-sha256", EUCLID_LIMIT_PIN, 0,
+        sha256("2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64")),
+    Row("euclid-limit-json-sha256", f"{EUCLID_LIMIT_PIN} --format json", 0,
+        sha256("62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1")),
+    # list columns (bools among them) through the same row template
+    Row("verify-json", VERIFY_GOLDEN + " --format json", 0,
+        sha256("fe91125080d8d48b3be3c7f5a18ce21d17a650fed1916dbaf51595cb5abae8a1")),
+
+    # --- what each command loads, in a fresh interpreter
     # the package loads numpy lazily
     Row("import-loads-no-numpy", "", 0,
         via=("-c", "import sys, sphere_osc; sys.exit('numpy' in sys.modules)")),
-    # the detectors see a wrong level: under the mutant "epsilon" (every level x 1.001) all 15 rows fail
-    Row("verify-mutant-epsilon", VERIFY_GOLDEN, 1, rows_ending("false", 15),
-        via=(MUTANTS, "run", "epsilon")),
+    Row("spectrum-loads-no-numpy", "spectrum --dim 3 --w1 5 --w2 2", 0, lines(17),
+        via=_in_process(absent=SPECTRUM_ABSENT)),
+    Row("spectrum-json-loads-no-numpy", "spectrum --dim 3 --w1 5 --w2 2 --format json", 0, STRICT_JSON,
+        via=_in_process(absent=SPECTRUM_ABSENT)),
+    # the level overflows
+    Row("spectrum-level-overflow", "spectrum --dim 3 --w1 1e300 --w2 1e300", 3,
+        stderr=line_starting("parameter error: "), via=_in_process(absent=SPECTRUM_ABSENT)),
+    Row("spectrum-nmax-negative-loads-no-numpy", "spectrum --dim 3 --nmax -1", 3,
+        stderr=text("parameter error: --nmax must be an integer >= 0, got -1\n"),
+        via=_in_process(absent=SPECTRUM_ABSENT)),
+    # `wavefunction` evaluates no level formula: it loads numpy, but no sphere_osc.spectrum,
+    # dataclasses or scipy, the stereographic projection included
+    Row("wavefunction-loads-no-spectrum", f"{WAVEFUNCTION_PIN} 50 --projected", 0, lines(51),
+        via=_in_process(absent=("sphere_osc.spectrum", "dataclasses", "scipy"))),
+    Row("euclid-limit-loads-no-scipy", EUCLID_LIMIT_PIN, 0, lines(7), via=_in_process(absent=("scipy",))),
+    # a rejected verify loads no scipy on any host. An accepted one loads none where numpy bundles
+    # LAPACK, as verify-golden-scipy-blocked shows; elsewhere scipy solves
+    Row("verify-levels-negative-loads-no-scipy", "verify --dim 3 --levels -1", 3,
+        stderr=text("parameter error: --levels must be an integer >= 0, got -1\n"),
+        via=_in_process(absent=("scipy",))),
+    Row("verify-levels-1000-loads-no-scipy", "verify --dim 3 --levels 1000", 3,
+        stderr=text("parameter error: --levels must be an integer <= 19, got 1000\n"),
+        via=_in_process(absent=("scipy",))),
+    Row("verify-mu-envelope-loads-no-scipy", "verify --dim 3 --w1 999 --lmax 100000", 3,
+        stderr=line_starting("parameter error: mu="), via=_in_process(absent=("scipy",))),
+
+    # --- exit 0 and 1: whether verify certifies each row, whether euclid-limit's errors fall
+    Row("verify-free-certified", "verify --dim 2 --w1 0 --w2 0 --levels 1 --lmax 0", 0,
+        verify_rows(2, "true")),
+    # mu_1 = 999, at the edge of the MAX_MU envelope
+    Row("verify-mu1-999-certified", "verify --dim 3 --w1 999 --w2 2 --levels 1 --lmax 0", 0,
+        verify_rows(2, "true")),
+    # a finite-difference ODE residual gave 1.5e-8 and 7.5e-6 on these two
+    Row("verify-w1-900-certified", "verify --dim 3 --w1 900 --w2 1 --levels 1 --lmax 0", 0,
+        verify_rows(2, "true")),
+    Row("verify-small-couplings-certified", "verify --dim 2 --w1 0.02445 --w2 0.8257 --levels 1 --lmax 0", 0,
+        verify_rows(2, "true")),
     # the envelope edge, mu_2 = 998: the FD oracle sizes its grid from mu, so every row passes
     # (a fixed 2000-point oracle grid missed 1e-6 from n_theta = 6)
-    Row("verify-mu2-998", "verify --dim 3 --w1 0 --w2 998 --levels 19 --lmax 0", 0, rows_ending("true", 20)),
+    Row("verify-mu2-998", "verify --dim 3 --w1 0 --w2 998 --levels 19 --lmax 0", 0, verify_rows(20, "true")),
     # the narrowest states node_count counts on the FD oracle's coarse grid: mu = 999 at both poles
     Row("verify-mu-999-both-poles", "verify --dim 3 --w1 999 --w2 999 --levels 19 --lmax 0", 0,
-        rows_ending("true", 20)),
+        verify_rows(20, "true")),
     # both floors of the FD grid: the verify-sweep trap samples both poles pointwise (500 points;
     # n_theta = 8 missed the oracle bound on one 8000-point grid at every L); the free trap
     # matches its poles at L 0 and 1 (1000 points), not at L 2 and 3
-    Row("verify-sweep-9x9", "verify --dim 3 --w1 5 --w2 2 --levels 8 --lmax 8", 0, rows_ending("true", 81)),
+    Row("verify-sweep-9x9", "verify --dim 3 --w1 5 --w2 2 --levels 8 --lmax 8", 0, verify_rows(81, "true")),
     Row("verify-free-both-floors", "verify --dim 2 --w1 0 --w2 0 --levels 9 --lmax 3", 0,
-        rows_ending("true", 40)),
-    # an overflowing Jacobi sweep is a range error: one stderr line, no numpy warning (three
-    # lines before, an "invalid value" warning and its source line ahead of the error)
-    Row("wavefunction-jacobi-overflow", "wavefunction --dim 3 --w1 999 --w2 999 --ntheta 600 --grid 5", 3,
+        verify_rows(40, "true")),
+    # the detectors see a wrong level: under the mutant "epsilon" (every level x 1.001) all 15 rows fail
+    Row("verify-mutant-epsilon", VERIFY_GOLDEN, 1, verify_rows(15, "false"),
+        via=(MUTANTS, "run", "epsilon")),
+    # the errors do not fall monotonically with R this far below the limit
+    Row("euclid-limit-not-monotone", "euclid-limit --dim 3 --chi 1.5 --radii 1e-3,2e-3,4e-3 --nr 3 --l 2", 1,
+        lines(6)),
+    # every radial value underflows, so no slope fits: its cell is null, not a bare NaN
+    Row("euclid-limit-json-undefined-slope",
+        "euclid-limit --dim 5 --chi 1 --radii 1.5,3,6 --mass 1e-300 --format json", 1, STRICT_JSON),
+
+    # --- exit 2: usage errors
+    Row("missing-command", "", 2, stderr=usage("sphere-osc: error: the following arguments are required: command")),
+    Row("spectrum-unknown-flag", "spectrum --dim 2 --bogus 1", 2,
+        stderr=usage("sphere-osc: error: unrecognized arguments: --bogus 1")),
+    Row("euclid-limit-no-omega2", "euclid-limit --dim 2 --chi 1 --omega2 0.5 --radii 2,4,8", 2,
+        stderr=usage("sphere-osc: error: unrecognized arguments: --omega2 0.5")),
+    Row("euclid-limit-two-radii", "euclid-limit --dim 2 --chi 1 --radii 2,4", 2,
+        stderr=text("usage error: --radii needs at least 3 ascending values\n")),
+    Row("spectrum-groups-mixed", "spectrum --dim 2 --w1 1 --omega1 0.5", 2,
+        stderr=text("usage error: --w1/--w2 are mutually exclusive with the physical parameter group\n")),
+    # a flag counts as given by presence, not by value: --w2 0 and --mass 1 mix the two groups
+    Row("spectrum-groups-mixed-at-defaults", "spectrum --dim 3 --w2 0 --mass 1", 2,
+        stderr=text("usage error: --w1/--w2 are mutually exclusive with the physical parameter group\n")),
+
+    # --- exit 3: domain and range errors, one stderr line each
+    Row("spectrum-dim-1", "spectrum --dim 1 --w1 0 --w2 0", 3,
+        stderr=text("parameter error: dimension N must be an integer >= 2, got 1\n")),
+    Row("spectrum-negative-coupling", "spectrum --dim 2 --w1 -2", 3,
+        stderr=text("parameter error: w1 must be finite and >= 0, got -2.0\n")),
+    # R**2 overflows the coupling; R**2 underflows, so the energy unit divides by zero
+    Row("spectrum-radius-1e200", "spectrum --dim 3 --omega1 1 --radius 1e200 --nmax 0 --lmax 0", 3,
         stderr=line_starting("parameter error: ")),
-    # euclid-limit checks the mu envelope at its largest radius before any evaluation
-    Row("euclid-limit-mu-envelope", "euclid-limit --dim 3 --chi 1e7 --radii 1,2,3", 3,
-        stderr=line_starting("parameter error: mu=")),
+    Row("spectrum-radius-1e-200", "spectrum --dim 3 --radius 1e-200 --nmax 0 --lmax 0", 3,
+        stderr=line_starting("parameter error: ")),
+    # size caps, checked before anything is allocated
+    Row("spectrum-nmax-cap", "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000", 3,
+        stderr=line_starting("parameter error: ")),
+    Row("wavefunction-grid-cap", "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000", 3,
+        stderr=line_starting("parameter error: ")),
+    Row("verify-levels-huge", "verify --dim 3 --w1 5 --w2 2 --levels 100000000000 --lmax 0", 3,
+        stderr=line_starting("parameter error: ")),
     # a cap with no lower bound names its upper bound alone
     Row("verify-levels-cap", "verify --dim 3 --w1 5 --w2 2 --levels 20", 3,
         stderr=text("parameter error: --levels must be an integer <= 19, got 20\n")),
     # a rejected quantum number names its flag, not the model's field
     Row("wavefunction-ntheta-negative", "wavefunction --dim 3 --ntheta -1", 3,
         stderr=text("parameter error: --ntheta must be an integer >= 0, got -1\n")),
+    # mu = 2000 > MAX_MU: rejected before the FD solve and the rule's weight mass
+    Row("verify-mu-2000", "verify --dim 3 --w1 2000 --w2 2 --levels 2 --lmax 0", 3,
+        stderr=line_starting("parameter error: ")),
+    # mu at --lmax is outside MAX_MU: rejected before the first L block
+    Row("verify-lmax-envelope", "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 5000", 3,
+        stderr=line_starting("parameter error: ")),
+    # euclid-limit checks the mu envelope at its largest radius before any evaluation
+    Row("euclid-limit-mu-envelope", "euclid-limit --dim 3 --chi 1e7 --radii 1,2,3", 3,
+        stderr=line_starting("parameter error: mu=")),
+    # the eigenfunction overflows: its finite limit at the pole (a traceback before), for
+    # euclid-limit at R = 1e-150, and inside (0, pi) (inf rows and exit 0 before)
+    Row("wavefunction-pole-overflow", "wavefunction --dim 400 --radius 1e-100 --grid 3", 3,
+        stderr=line_starting("parameter error: ")),
+    Row("euclid-limit-eigenfunction-overflow", "euclid-limit --dim 10 --chi 1.5 --radii 1e-150,1,2", 3,
+        stderr=line_starting("parameter error: ")),
+    Row("wavefunction-interior-overflow",
+        "wavefunction --dim 400 --radius 1e-100 --omega1 1e200 --omega2 1e200 --grid 3", 3,
+        stderr=line_starting("parameter error: ")),
+    # an overflowing Jacobi sweep is a range error: one stderr line, no numpy warning (three
+    # lines before, an "invalid value" warning and its source line ahead of the error)
+    Row("wavefunction-jacobi-overflow", "wavefunction --dim 3 --w1 999 --w2 999 --ntheta 600 --grid 5", 3,
+        stderr=line_starting("parameter error: ")),
+
+    # --- a closed or abandoned stream
     # a process started with stdout closed: exit 2 and one stderr line, not a traceback and exit 1
+    Row("spectrum-stdout-closed", "spectrum --dim 3", 2,
+        stderr=text("usage error: cannot write stdout: it is closed\n"), closed=1),
     Row("verify-stdout-closed", "verify --dim 3 --w1 5 --w2 2 --levels 2 --lmax 1", 2,
         stderr=text("usage error: cannot write stdout: it is closed\n"), closed=1),
-    # a flag counts as given by presence, not by value: --w2 0 and --mass 1 mix the two groups
-    Row("spectrum-groups-mixed-at-defaults", "spectrum --dim 3 --w2 0 --mass 1", 2,
-        stderr=text("usage error: --w1/--w2 are mutually exclusive with the physical parameter group\n")),
-    # a closed stderr loses the error line, not the documented exit code (exit 1 before)
+    # a closed stderr loses the error line, not the documented exit code (exit 1 before); with
+    # fd 2 closed sys.stderr is None, and argparse then printed its usage line to stdout
     Row("spectrum-stderr-closed", "spectrum --dim 1", 3, closed=2),
+    Row("spectrum-groups-mixed-stderr-closed", "spectrum --dim 3 --w2 0 --mass 1", 2, closed=2),
+    Row("verify-levels-cap-stderr-closed", "verify --dim 3 --levels 20", 3, closed=2),
+    Row("spectrum-unknown-flag-stderr-closed", "spectrum --dim 3 --bogus 1", 2, closed=2),
     # a reader that closes early: the table is written in chunks, more than a pipe's buffer
     # holds, and the command still exits 0 with nothing on stderr
     Row("spectrum-reader-leaves-early", "spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", 0,
         first_bytes(100, "n_theta,L,epsilon,energy\n"), read=100),
-    # a JSON table of several write chunks
-    Row("spectrum-json-chunks", "spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json", 0,
-        sha256("bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412")),
-    # list columns (bools among them) through the same row template
-    Row("verify-json", VERIFY_GOLDEN + " --format json", 0,
-        sha256("fe91125080d8d48b3be3c7f5a18ce21d17a650fed1916dbaf51595cb5abae8a1")),
-    # every radial value underflows, so no slope fits: its cell is null, not a bare NaN
-    Row("euclid-limit-json-undefined-slope",
-        "euclid-limit --dim 5 --chi 1 --radii 1.5,3,6 --mass 1e-300 --format json", 1, STRICT_JSON),
+    # the command's own exit code survives the closed pipe: a failing table, under a mutant
+    Row("verify-mutant-reader-leaves-early", "verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 49", 1,
+        first_bytes(10, "n_theta,L,"), read=10, via=(MUTANTS, "run", "epsilon")),
 ]
 
 
@@ -205,17 +334,23 @@ def broken(row: Row, command: list[str]) -> list[str]:
         argv = ["sh", "-c", f'exec "$@" {row.closed}>&-', "sh", *argv]
     pipes = {stream: None if row.closed == fd else subprocess.PIPE
              for fd, stream in ((1, "stdout"), (2, "stderr"))}
+    timed_out = threading.Event()
     with subprocess.Popen(argv, env={**os.environ, **row.env}, **pipes) as proc:
+        # a process still running after TIMEOUT_S is killed, which also ends a blocked read
+        watchdog = threading.Timer(TIMEOUT_S, lambda: (timed_out.set(), proc.kill()))
+        watchdog.start()
         try:
             if row.read is None:
-                out, err = proc.communicate(timeout=TIMEOUT_S)
+                out, err = proc.communicate()
             else:
                 out = proc.stdout.read(row.read)
                 proc.stdout.close()
                 err = proc.stderr.read()
-                proc.wait(timeout=TIMEOUT_S)
+                proc.wait()
         finally:
-            proc.kill()  # after a timeout; once the process is reaped it does nothing
+            watchdog.cancel()
+    if timed_out.is_set():
+        return [f"timed out after {TIMEOUT_S} s"]
     problems = [] if proc.returncode == row.code else [f"exit {proc.returncode}, not {row.code}"]
     for name, data, check in (("stdout", out, row.stdout), ("stderr", err, row.stderr)):
         if data is not None and not check.test(data):
@@ -229,11 +364,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = [args.exe] if args.exe else MODULE
     failed = 0
+    start = time.perf_counter()
     for row in ROWS:
+        row_start = time.perf_counter()
         problems = broken(row, command)
         failed += bool(problems)
-        print(f"{'FAIL' if problems else 'ok  '} {row.id}", *(f"     {p}" for p in problems), sep="\n")
-    print(f"{len(ROWS) - failed} of {len(ROWS)} rows kept the contract")
+        print(f"{'FAIL' if problems else 'ok  '} {row.id}  {time.perf_counter() - row_start:.2f} s",
+              *(f"     {p}" for p in problems), sep="\n", flush=True)
+    print(f"{len(ROWS) - failed} of {len(ROWS)} rows kept the contract in "
+          f"{time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -13,38 +12,12 @@ import numpy as np
 import pytest
 
 import cli_contract
-import sphere_osc.verify
 from oracle_forms import mp_epsilon
 from sphere_osc import cli
 from sphere_osc.model import OscillatorParams
 
 CLI = [sys.executable, "-m", "sphere_osc"]
-MUTANTS_SCRIPT = Path(__file__).parent / "mutants.py"
 GOLDEN = Path(__file__).parent / "golden"
-
-# sha256 of a command's stdout; the goldens and the digests that CI also checks against the
-# console script are rows of the CLI contract table, tests/cli_contract.py.
-# Taken with numpy 2.4.6 on a host whose numpy dispatches AVX-512. Without that dispatch
-# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") the three wavefunction digests
-# move in their last digits; the spectrum and euclid-limit pins hold (ROADMAP item 15).
-STDOUT_PINS = [
-    ("spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200",
-     "d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504"),
-    ("spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json",
-     "7fd6a9ec76adfbb8750c283f598bd2d93fb31b9654ded0fbfd4054eabe171913"),
-    ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000",
-     "af2bc0b282b3bc406d0e95713fcbc1837e12650f08355995da3adaa876dd4676"),
-    ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 2000 --projected",
-     "4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73"),
-    ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12 --format json",
-     "62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1"),
-    # JSON tables of several write chunks (cli._CHUNK_ROWS rows each)
-    ("wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid 20000 --projected --format json",
-     "efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9"),
-    # list columns (floats, None, strings) rather than arrays
-    ("euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12",
-     "2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64"),
-]
 
 
 def run_cli(args):
@@ -53,13 +26,9 @@ def run_cli(args):
 
 @pytest.mark.parametrize("row", cli_contract.ROWS, ids=[row.id for row in cli_contract.ROWS])
 def test_contract(row):
-    # the table CI runs against the installed console script, here through python -m sphere_osc
+    # the table CI runs against the installed console script, here through python -m sphere_osc;
+    # a check of one process's exit code and output bytes is a row there, not a test here
     assert cli_contract.broken(row, CLI) == []
-
-
-def mutant_cli(name):
-    """The command line run under the mutant `name` of tests/mutants.py."""
-    return [sys.executable, str(MUTANTS_SCRIPT), "run", name]
 
 
 def parse_csv(text):
@@ -85,12 +54,6 @@ class TestSpectrumCommand:
         args = ["spectrum", "--dim", "3", "--w1", "1.7", "--w2", "0.3",
                 "--nmax", "3", "--lmax", "2"]
         assert run_cli(args).stdout == run_cli(args).stdout
-
-    @pytest.mark.parametrize("args, digest", STDOUT_PINS)
-    def test_stdout_sha256(self, args, digest):
-        res = subprocess.run(CLI + args.split(), capture_output=True)
-        assert res.returncode == 0
-        assert hashlib.sha256(res.stdout).hexdigest() == digest
 
     @pytest.mark.parametrize("w1", ["1e8", "1e9"])
     def test_large_coupling_matches_mpmath(self, w1):
@@ -206,32 +169,6 @@ class TestWavefunctionCommand:
             assert abs(v + w) <= 1e-12 * max(1.0, abs(v))  # odd n_theta
 
 
-class TestVerifyCommand:
-    def test_healthy_exit_zero(self):
-        res = run_cli(["verify", "--dim", "2", "--w1", "0", "--w2", "0",
-                       "--levels", "1", "--lmax", "0"])
-        assert res.returncode == 0, res.stdout + res.stderr
-        header, rows = parse_csv(res.stdout)
-        assert header == ["n_theta", "L", "normalization_error", "max_ode_residual",
-                          "oracle_energy_relerr", "node_count_match", "ok"]
-        assert all(r[-1] == "true" for r in rows)
-
-    @pytest.mark.parametrize("args, rows", [
-        # mu_1 = 999, at the edge of the MAX_MU envelope
-        ("verify --dim 3 --w1 999 --w2 2 --levels 1 --lmax 0", 2),
-        # the finite-difference ODE residual gave 1.5e-8 and 7.5e-6 here
-        ("verify --dim 3 --w1 900 --w2 1 --levels 1 --lmax 0", 2),
-        ("verify --dim 2 --w1 0.02445 --w2 0.8257 --levels 1 --lmax 0", 2),
-    ])
-    def test_every_row_certified(self, args, rows):
-        res = run_cli(args.split())
-        assert res.returncode == 0, res.stdout + res.stderr
-        header, table = parse_csv(res.stdout)
-        assert [r[-1] for r in table] == ["true"] * rows
-        resid = header.index("max_ode_residual")
-        assert max(float(r[resid]) for r in table) <= 1e-8
-
-
 class TestEuclidLimitCommand:
     def test_decade_scan(self):
         res = run_cli(["euclid-limit", "--dim", "2", "--chi", "1", "--omega", "1",
@@ -246,72 +183,20 @@ class TestEuclidLimitCommand:
         assert abs(trailers["slope:energy_error"] + 2.0) <= 0.1
         assert abs(trailers["slope:wavefunction_error"] + 2.0) <= 0.1
 
-    def test_too_few_radii(self):
-        res = run_cli(["euclid-limit", "--dim", "2", "--chi", "1", "--radii", "2,4"])
-        assert res.returncode == 2
-
     def test_mass_and_hbar_reach_the_config(self, capsys):
         argv = "euclid-limit --dim 3 --chi 1.5 --radii 1.5,3,6 --mass 2 --hbar 0.5 --format json"
         assert cli.main(argv.split()) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["mass"], config["hbar"]) == (2.0, 0.5)
 
-    def test_no_omega2_flag(self):
-        res = run_cli(["euclid-limit", "--dim", "2", "--chi", "1",
-                       "--omega2", "0.5", "--radii", "2,4,8"])
-        assert res.returncode == 2
-
 
 class TestExitCodes:
-    def test_unknown_flag(self):
-        assert run_cli(["spectrum", "--dim", "2", "--bogus", "1"]).returncode == 2
-
-    def test_missing_command(self):
-        assert run_cli([]).returncode == 2
-
-    def test_mixed_parameter_groups(self):
-        res = run_cli(["spectrum", "--dim", "2", "--w1", "1", "--omega1", "0.5"])
-        assert res.returncode == 2
-
     def test_natural_is_not_a_flag(self, capsys):
         # m = hbar = 1 is the default; there is no flag that pins it
         for argv in (["spectrum", "--dim", "3"], ["wavefunction", "--dim", "3"], ["verify", "--dim", "3"],
                      ["euclid-limit", "--dim", "3", "--chi", "1.5", "--radii", "1.5,3,6"]):
             assert cli.main(argv + ["--natural"]) == 2
             assert "unrecognized arguments: --natural" in capsys.readouterr().err
-
-    def test_domain_error_dimension(self):
-        assert run_cli(["spectrum", "--dim", "1", "--w1", "0", "--w2", "0"]).returncode == 3
-
-    def test_domain_error_negative_coupling(self):
-        assert run_cli(["spectrum", "--dim", "2", "--w1", "-2"]).returncode == 3
-
-    @pytest.mark.parametrize("args", [
-        # R**2 overflows the coupling
-        "spectrum --dim 3 --omega1 1 --radius 1e200 --nmax 0 --lmax 0",
-        # mu = 2000 > MAX_MU: rejected before the FD solve and the rule's weight mass
-        "verify --dim 3 --w1 2000 --w2 2 --levels 2 --lmax 0",
-        # R**2 underflows, so the energy unit divides by zero
-        "spectrum --dim 3 --radius 1e-200 --nmax 0 --lmax 0",
-        # the level overflows
-        "spectrum --dim 3 --w1 1e300 --w2 1e300",
-        # size caps, checked before anything is allocated
-        "spectrum --dim 3 --w1 5 --w2 2 --nmax 100000000",
-        "wavefunction --dim 3 --w1 5 --w2 2 --grid 100000000000",
-        "verify --dim 3 --w1 5 --w2 2 --levels 100000000000 --lmax 0",
-        # mu at --lmax is outside MAX_MU: rejected before the first L block
-        "verify --dim 3 --w1 5 --w2 2 --levels 0 --lmax 5000",
-        # the eigenfunction overflows: its finite limit at the pole (a traceback before),
-        # for euclid-limit at R = 1e-150, and inside (0, pi) (inf rows and exit 0 before)
-        "wavefunction --dim 400 --radius 1e-100 --grid 3",
-        "euclid-limit --dim 10 --chi 1.5 --radii 1e-150,1,2",
-        "wavefunction --dim 400 --radius 1e-100 --omega1 1e200 --omega2 1e200 --grid 3",
-    ])
-    def test_rejected_input_exits_3(self, args):
-        res = run_cli(args.split())
-        assert res.returncode == 3
-        assert "Traceback" not in res.stderr
-        assert res.stdout == "" and res.stderr.count("\n") == 1
 
     # a rejected integer names the flag and the bound it broke
     @pytest.mark.parametrize("args, message", [
@@ -353,25 +238,6 @@ class TestExitCodes:
         target = "stdout" if to_stdout else "--out /dev/full"
         assert res.stderr == f"usage error: cannot write {target}: No space left on device\n"
 
-    # a process started with fd 1 closed has sys.stdout None (a traceback and exit 1 before)
-    @pytest.mark.parametrize("args", ["spectrum --dim 3"])
-    def test_missing_stdout_is_usage_error(self, args):
-        res = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *args.split()],
-                             capture_output=True, text=True)
-        assert res.returncode == 2
-        assert res.stderr.startswith("usage error: cannot write stdout") and res.stderr.count("\n") == 1
-
-    # a closed stderr loses the report, not the exit code (exit 1 before)
-    # with fd 2 closed at start sys.stderr is None, and argparse then prints its usage line to stdout
-    @pytest.mark.parametrize("args, code", [("spectrum --dim 3 --w2 0 --mass 1", 2),
-                                            ("verify --dim 3 --levels 20", 3),
-                                            ("spectrum --dim 3 --bogus 1", 2)])
-    def test_missing_stderr_keeps_the_exit_code(self, args, code):
-        res = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *CLI, *args.split()],
-                             capture_output=True, text=True)
-        assert res.returncode == code
-        assert res.stdout == ""
-
     def test_no_stderr_object_keeps_stdout_clean(self, monkeypatch, capsys):
         # Python sets sys.stderr to None when fd 2 is closed at start; print(file=None) goes to stdout
         monkeypatch.setattr(sys, "stderr", None)
@@ -384,20 +250,6 @@ class TestExitCodes:
         res = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *args], capture_output=True)
         assert res.returncode == 0 and res.stderr == b""
         assert out.read_bytes() == (GOLDEN / "spectrum_dim2_free.csv").read_bytes()
-
-    # the table is larger than a pipe's buffer, so writes go on after the reader left
-    @pytest.mark.parametrize("args, mutant, code", [
-        # the command's own exit code survives the closed pipe: a failing table, run under a mutant
-        ("verify --dim 2 --w1 1 --w2 1 --levels 19 --lmax 49", "epsilon", 1),
-    ])
-    def test_closed_stdout_is_quiet(self, args, mutant, code):
-        command = mutant_cli(mutant) if mutant else CLI
-        proc = subprocess.Popen(command + args.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-        assert proc.returncode == code
-        assert err == b""
 
     def test_json_above_the_former_row_cap(self, tmp_path):
         out = tmp_path / "grid.json"
@@ -441,84 +293,6 @@ def test_emit_matches_per_cell_and_dict_routes(n, fmt):
     assert buf.getvalue() == want
     if fmt == "json":
         assert json.loads(buf.getvalue())["rows"][-1] == dict(zip(header, rows[-1]))
-
-
-# Runs in a fresh interpreter so modules imported by other tests do not count.
-_IMPORT_PROBE = """
-import contextlib, io, sys
-import sphere_osc
-from sphere_osc.cli import main
-
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        main(["spectrum", "--dim", "3", "--w1", "5", "--w2", "2"]),
-        main(["wavefunction", "--dim", "3", "--w1", "5", "--w2", "2", "--ntheta", "4",
-              "--l", "2", "--grid", "50", "--projected"]),
-        main(["euclid-limit", "--dim", "3", "--chi", "1.5", "--nr", "1", "--l", "1",
-              "--radii", "1.5,3,6,12"]),
-        main(["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", "8", "--lmax", "8"]),
-    ]
-assert codes == [0, 0, 0, 0], codes
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert loaded == [], loaded
-"""
-
-
-@pytest.mark.skipif(sphere_osc.verify._lapack() is None,
-                    reason="numpy bundles no scipy-openblas64 LAPACK; verify solves through scipy")
-def test_no_cli_command_loads_scipy():
-    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-
-
-_REJECTED_VERIFY_PROBE = """
-import contextlib, io, sys
-from sphere_osc.cli import main
-
-with contextlib.redirect_stderr(io.StringIO()):
-    codes = [main(["verify", "--dim", "3", "--levels", "-1"]),
-             main(["verify", "--dim", "3", "--levels", "1000"]),
-             main(["verify", "--dim", "3", "--w1", "999", "--lmax", "100000"])]
-assert codes == [3, 3, 3], codes
-assert "scipy" not in sys.modules
-"""
-
-
-def test_rejected_verify_loads_no_scipy():
-    res = subprocess.run([sys.executable, "-c", _REJECTED_VERIFY_PROBE], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-
-
-# Runs in a fresh interpreter with no thread variables set: `spectrum` and its errors load
-# no numpy, and no dataclasses or inspect either; `wavefunction` loads numpy but no dataclasses;
-# `verify` loads numpy after the CLI's OpenBLAS default is in place.
-_NUMPY_PROBE = """
-import contextlib, io, os, sys
-from sphere_osc.cli import main
-
-assert "numpy" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    for argv, code in [
-        (["spectrum", "--dim", "3", "--w1", "5", "--w2", "2"], 0),
-        (["spectrum", "--dim", "3", "--w1", "5", "--w2", "2", "--format", "json"], 0),
-        (["spectrum", "--dim", "3", "--w1", "1e300", "--w2", "1e300"], 3),
-        (["spectrum", "--dim", "3", "--nmax", "-1"], 3),
-    ]:
-        assert main(argv) == code, argv
-        loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
-        assert loaded == [], (argv, loaded)
-    assert main(["wavefunction", "--dim", "3", "--w1", "5", "--w2", "2", "--grid", "5"]) == 0
-    assert "numpy" in sys.modules and "dataclasses" not in sys.modules
-    assert main(["verify", "--dim", "3", "--w1", "5", "--w2", "2", "--levels", "1", "--lmax", "0"]) == 0
-assert "numpy" in sys.modules
-assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-"""
-
-
-def test_spectrum_loads_no_numpy():
-    res = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=_env_without_thread_vars(),
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
 
 
 # `run` is the console script; `main` is what tests and bench/tracer.py call in-process.
