@@ -35,6 +35,12 @@ _COUPLING_FLAGS = {"w1": "w1", "w2": "w2"}
 # Largest `wavefunction --grid`: the CLI holds the theta nodes and each column
 # as arrays; rows are formatted only a chunk at a time.
 MAX_WAVEFUNCTION_GRID = 10**6
+# Largest sweep work of `wavefunction` or `euclid-limit`, in point-steps: a Jacobi or Laguerre
+# sweep of degree n over p points counts n * (p + _SWEEP_STEP_POINTS), the per-step term being
+# numpy's call overhead.  A point-step takes 3-9 ns on a 2-vCPU x86-64 host, so the cap
+# bounds the sweeps at about 2 s there.
+MAX_SWEEP_WORK = 2 * 10**8
+_SWEEP_STEP_POINTS = 1500
 # Rows formatted per write, so memory holds one chunk of text, not the table.
 _CHUNK_ROWS = 4096
 
@@ -62,6 +68,13 @@ def r_from_theta(R, theta):
     from .eigenfunctions import r_from_theta
 
     return r_from_theta(R, theta)
+
+
+def _check_sweep_work(what: str, degree: int, points: int, sweeps: int = 1):
+    """Reject `sweeps` sweeps of `degree` over `points` points beyond MAX_SWEEP_WORK, before numpy loads."""
+    work = sweeps * degree * (points + _SWEEP_STEP_POINTS)
+    if work > MAX_SWEEP_WORK:
+        raise DomainError(f"{what} needs {work} sweep point-steps, more than {MAX_SWEEP_WORK}")
 
 
 def _emit(config: dict, header: list[str], columns, out: str | None, fmt: str):
@@ -183,6 +196,7 @@ def _cmd_wavefunction(args):
     check_int("--grid", args.grid, 2)
     check_int("--grid", args.grid, hi=MAX_WAVEFUNCTION_GRID)
     qn = _quantum_numbers(args, "--ntheta", args.ntheta)
+    _check_sweep_work(f"--ntheta {qn.n_theta} over --grid {args.grid}", qn.n_theta, args.grid)
     import numpy as np
 
     from .eigenfunctions import conformal_factor, eval_F
@@ -229,6 +243,8 @@ def _cmd_euclid_limit(args):
         raise UsageError("--radii must be strictly ascending")
     eparams = EuclideanParams(args.dim, args.omega, args.chi, **_given(args, _PHYSICAL_FLAGS))
     qn = _quantum_numbers(args, "--nr", args.nr)
+    # euclidean_limit_scan sweeps 64 radial points once per radius and once for the flat limit
+    _check_sweep_work(f"--nr {qn.n_theta} over {len(radii)} radii", qn.n_theta, 64, len(radii) + 1)
     config = {"dim": eparams.N, "omega": eparams.omega, "chi": eparams.chi, "mass": eparams.m,
               "hbar": eparams.hbar, "nr": qn.n_theta, "l": qn.L, "radii": radii}
 

@@ -7,10 +7,11 @@ grids, and differential-equation residuals from exact derivatives of the
 closed form, which share its Jacobi recurrence but not its energy formula or
 normalization.
 
-Both tridiagonal eigenproblems go through eigh_tridiagonal: LAPACK dstevd for
-all of a rule's nodes, dstebz bisection for the oracle's lowest levels.  Each
-is called with ctypes in the ILP64 OpenBLAS that numpy's wheel bundles, so
-no command imports scipy; where numpy carries none, scipy.linalg solves.
+Both tridiagonal eigenproblems go through eigh_tridiagonal, one named LAPACK
+driver each: dsterf for all of a rule's nodes, dstebz bisection for the
+oracle's lowest levels.  Each is called with ctypes in the ILP64 OpenBLAS
+that numpy's wheel bundles, so no command imports scipy; where numpy carries
+none, scipy.linalg solves with the same two drivers.
 """
 
 import ctypes
@@ -80,14 +81,14 @@ class VerificationReport(Record):
 
 @functools.cache
 def _lapack():
-    """(dstebz, dstevd) of the ILP64 scipy-openblas that numpy's wheel bundles, or None.
+    """(dstebz, dsterf) of the ILP64 scipy-openblas that numpy's wheel bundles, or None.
 
     Resolved through the dependencies of numpy's core extension on the first solve, never at
     import; where numpy carries no such library (conda/MKL builds, numpy 1.x) scipy solves.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        return lib.scipy_dstebz_64_, lib.scipy_dstevd_64_
+        return lib.scipy_dstebz_64_, lib.scipy_dsterf_64_
     except (AttributeError, OSError):
         return None
 
@@ -95,12 +96,11 @@ def _lapack():
 def eigh_tridiagonal(d, e, k_levels: int | None = None) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal d, off-diagonal e.
 
-    All of them (LAPACK dstevd, the routine scipy's eigh_tridiagonal picks for them), or with
-    k_levels the lowest k_levels bisected to a width of _BISECTION_TOL (dstebz).  Arguments
-    are checked here: LAPACK reports a bad one on stdout.  A LAPACK failure raises
-    ArithmeticError.
+    All of them (LAPACK dsterf), or with k_levels the lowest k_levels bisected to a width of
+    _BISECTION_TOL (dstebz); the scipy route names the same drivers.  Arguments are checked
+    here: LAPACK reports a bad one on stdout.  A LAPACK failure raises ArithmeticError.
     """
-    d, e = (np.array(v, dtype=float, ndmin=1) for v in (d, e))  # copies: dstevd overwrites both
+    d, e = (np.array(v, dtype=float, ndmin=1) for v in (d, e))  # copies: dsterf overwrites both
     n = check_int("diagonal length", d.size, 1)
     check_int("off-diagonal length", e.size, n - 1, n - 1)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
@@ -112,8 +112,8 @@ def eigh_tridiagonal(d, e, k_levels: int | None = None) -> np.ndarray:
         from scipy.linalg import LinAlgError
         from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 
-        select = {} if k_levels is None else dict(select="i", select_range=(0, k_levels - 1),
-                                                  lapack_driver="stebz", tol=_BISECTION_TOL)
+        select = dict(lapack_driver="sterf") if k_levels is None else dict(
+            select="i", select_range=(0, k_levels - 1), lapack_driver="stebz", tol=_BISECTION_TOL)
         try:
             return scipy_eigh_tridiagonal(d, e, eigvals_only=True, **select)
         except LinAlgError as exc:
@@ -123,13 +123,12 @@ def eigh_tridiagonal(d, e, k_levels: int | None = None) -> np.ndarray:
         return ctypes.byref((ctypes.c_double if isinstance(value, float) else ctypes.c_int64)(value))
 
     info, nsplit = ctypes.c_int64(), ctypes.c_int64()
-    m = ctypes.c_int64(n)  # the count of levels stebz found; stevd finds all n
-    char_len = ctypes.c_size_t(1)  # the hidden length of each CHARACTER argument, passed last
+    m = ctypes.c_int64(n)  # the count of levels stebz found; sterf finds all n
     if k_levels is None:
-        w, k_levels, work, iwork = d, n, np.empty(1), np.empty(1, dtype=np.int64)
-        lapack[1](b"N", ref(n), d.ctypes, e.ctypes, work.ctypes, ref(1), work.ctypes, ref(1),
-                  iwork.ctypes, ref(1), ctypes.byref(info), char_len)
+        w, k_levels = d, n
+        lapack[1](ref(n), d.ctypes, e.ctypes, ctypes.byref(info))
     else:
+        char_len = ctypes.c_size_t(1)  # the hidden length of each CHARACTER argument, passed last
         w, work, iwork = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)
         lapack[0](b"I", b"E", ref(n), ref(0.0), ref(0.0), ref(1), ref(k_levels),
                   ref(_BISECTION_TOL), d.ctypes, e.ctypes, ctypes.byref(m), ctypes.byref(nsplit),
@@ -146,7 +145,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np
 
     The weight is (1-x)^alpha (1+x)^beta on (-1, 1).  Golub-Welsch construction:
     the nodes are the eigenvalues of the symmetric tridiagonal matrix of the
-    orthonormal three-term recurrence, all of them from LAPACK dstevd through
+    orthonormal three-term recurrence, all of them from LAPACK dsterf through
     eigh_tridiagonal.  The weights come from its Christoffel function,
     w_i = mu0 / sum_j p_j(x_i)^2 with p_j the matrix's own recurrence (p_0 = 1),
     not from eigenvectors: the tiny weights of the eigenvector route carry
@@ -169,10 +168,8 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np
     diag[0] = (beta - alpha) / (apb + 2.0)
     k = np.arange(1, n, dtype=float)
     diag[1:] = (beta - alpha) * (beta + alpha) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
-    if n == 1:
-        return diag.copy(), np.array([log_mu0])
     bsq = np.empty(n - 1)
-    bsq[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
+    bsq[:1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     k = np.arange(2, n, dtype=float)
     bsq[1:] = (
         4.0 * k * (k + alpha) * (k + beta) * (k + apb)
@@ -357,10 +354,9 @@ def fd_eigensolve(params: OscillatorParams, L: int, k_levels: int) -> np.ndarray
     check_int("k_levels", k_levels, 1, MAX_FD_LEVELS)
     coarse = _coarse_points(params, L, k_levels)
     fine = 2 * coarse
-    scaled = []
-    for points in (fine, coarse):
-        scaled.append(points**2 * eigh_tridiagonal(*build_discretized_operator(params, L, points), k_levels))
-    return (scaled[0] - scaled[1]) / (fine**2 - coarse**2)
+    fine_levels, coarse_levels = (points**2 * eigh_tridiagonal(
+        *build_discretized_operator(params, L, points), k_levels) for points in (fine, coarse))
+    return (fine_levels - coarse_levels) / (3 * coarse**2)
 
 
 def node_count(params: OscillatorParams, L: int, n_max: int) -> list[int]:

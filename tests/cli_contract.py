@@ -154,9 +154,10 @@ ROWS = [
     Row("spectrum-golden-symmetric", "spectrum --dim 3 --w1 2 --w2 2 --nmax 0 --lmax 0", 0,
         golden("spectrum_dim3_sym.csv")),
     Row("verify-golden", VERIFY_GOLDEN, 0, golden("verify_dim3_w5_2.csv")),
-    # verify solves through the LAPACK numpy bundles: the same bytes with scipy blocked
+    # verify solves through the LAPACK numpy bundles: the same bytes with scipy blocked. Where
+    # numpy bundles none, scipy is left to solve, with the same named drivers and bytes
     Row("verify-golden-scipy-blocked", VERIFY_GOLDEN, 0, golden("verify_dim3_w5_2.csv"),
-        via=_in_process('sys.modules["scipy"] = None')),
+        via=_in_process('from sphere_osc import verify\nif verify._lapack(): sys.modules["scipy"] = None')),
     # an explicit BLAS thread count gives the same bytes
     Row("verify-golden-openblas-2-threads", VERIFY_GOLDEN, 0, golden("verify_dim3_w5_2.csv"),
         env={"OPENBLAS_NUM_THREADS": "2"}),
@@ -282,6 +283,17 @@ ROWS = [
     # a rejected quantum number names its flag, not the model's field
     Row("wavefunction-ntheta-negative", "wavefunction --dim 3 --ntheta -1", 3,
         stderr=text("parameter error: --ntheta must be an integer >= 0, got -1\n")),
+    # the sweep work cap (cli.MAX_SWEEP_WORK), checked before numpy loads: a high degree, the
+    # largest grid, and euclid-limit's sweeps of 64 points, once per radius and once flat
+    Row("wavefunction-sweep-work-degree", "wavefunction --dim 3 --ntheta 1000000", 3,
+        stderr=text("parameter error: --ntheta 1000000 over --grid 200 needs 1700000000 sweep "
+                    "point-steps, more than 200000000\n"), via=_in_process(absent=("numpy",))),
+    Row("wavefunction-sweep-work-grid", "wavefunction --dim 3 --ntheta 1000 --grid 1000000", 3,
+        stderr=text("parameter error: --ntheta 1000 over --grid 1000000 needs 1001500000 sweep "
+                    "point-steps, more than 200000000\n"), via=_in_process(absent=("numpy",))),
+    Row("euclid-limit-sweep-work", "euclid-limit --dim 3 --chi 1.5 --nr 100000 --radii 1.5,3,6", 3,
+        stderr=text("parameter error: --nr 100000 over 3 radii needs 625600000 sweep point-steps, "
+                    "more than 200000000\n"), via=_in_process(absent=("numpy",))),
     # mu = 2000 > MAX_MU: rejected before the FD solve and the rule's weight mass
     Row("verify-mu-2000", "verify --dim 3 --w1 2000 --w2 2 --levels 2 --lmax 0", 3,
         stderr=line_starting("parameter error: ")),

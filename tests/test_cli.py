@@ -200,11 +200,9 @@ class TestExitCodes:
 
     # a rejected integer names the flag and the bound it broke
     @pytest.mark.parametrize("args, message", [
-        ("verify --dim 3 --w1 5 --w2 2 --levels 20", "--levels must be an integer <= 19, got 20"),
         ("wavefunction --dim 3 --w1 5 --w2 2 --grid 1000001",
          "--grid must be an integer <= 1000000, got 1000001"),
         ("euclid-limit --dim 3 --chi 1.5 --nr -1 --radii 1.5,3,6", "--nr must be an integer >= 0, got -1"),
-        ("wavefunction --dim 3 --ntheta -1", "--ntheta must be an integer >= 0, got -1"),
         # a negative --l is the 2-sphere's alone
         ("wavefunction --dim 3 --l -1", "--l must be an integer >= 0, got -1"),
         ("euclid-limit --dim 3 --chi 1.5 --l -1 --radii 1.5,3,6", "--l must be an integer >= 0, got -1"),

@@ -66,10 +66,20 @@ def closed_form_levels(params, L, n_max):
 
 
 class TestGaussJacobiRule:
-    def test_single_node_legendre(self):
+    def test_single_node_legendre(self, monkeypatch):
         nodes, log_weights = gauss_jacobi_rule(1, 0.0, 0.0)
         assert abs(nodes[0]) <= 1e-15
         assert rel(np.exp(log_weights[0]), 2.0) <= 1e-14
+        # one node on either route: the 1x1 matrix's entry and the weight's mass, bit for bit
+        for route, lapack in (("default", verify_mod._lapack), ("scipy", lambda: None)):
+            monkeypatch.setattr(verify_mod, "_lapack", lapack)
+            for a in (0.0, 0.5, 2.06, 999.0):
+                for b in (0.0, 1.0, 3.3, 1000.0):
+                    nodes, log_weights = gauss_jacobi_rule(1, a, b)
+                    log_mu0 = ((a + b + 1.0) * math.log(2.0) + log_gamma(a + 1.0) + log_gamma(b + 1.0)
+                               - log_gamma(a + b + 2.0))
+                    assert nodes.tolist() == [(b - a) / (a + b + 2.0)], (route, a, b)
+                    assert log_weights.tolist() == [log_mu0], (route, a, b)
 
     def test_structure(self):
         nodes, log_weights = gauss_jacobi_rule(40, 1.3, 0.2)
@@ -416,7 +426,7 @@ class TestEighTridiagonal:
             assert got.tobytes() == single_grid_levels(p, L, MAX_FD_LEVELS, points).tobytes()
 
     @needs_lapack
-    def test_stevd_matches_scipy(self):
+    def test_sterf_matches_scipy(self):
         # Golub-Welsch matrices of 300 Jacobi weights, n = 2..39, exponents in [0, 1000]
         rng = np.random.default_rng(17)
         for n, a, b in zip(rng.integers(2, 40, 300), rng.uniform(0, 1000, 300), rng.uniform(0, 1000, 300)):
@@ -425,7 +435,7 @@ class TestEighTridiagonal:
                                    (b - a) * apb / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))])
             off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + apb)
                           / ((2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0) * (2.0 * k + apb - 1.0)))
-            want = eigh_tridiagonal(diag, off, eigvals_only=True)
+            want = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
             assert lapack_eigh_tridiagonal(diag, off).tobytes() == want.tobytes(), (n, a, b)
 
     @needs_lapack
@@ -451,10 +461,10 @@ class TestEighTridiagonal:
 
     @needs_lapack
     @pytest.mark.parametrize("k_levels, info", [(None, 1), (3, 1), (3, 0)],
-                             ids=["stevd-info", "stebz-info", "stebz-short"])
+                             ids=["sterf-info", "stebz-info", "stebz-short"])
     def test_lapack_failure_raises(self, monkeypatch, k_levels, info):
         def failing(*args):  # sets INFO and leaves M, the count stebz found, at n
-            args[10 if args[0] == b"N" else 17]._obj.value = info
+            args[17 if args[0] == b"I" else 3]._obj.value = info
 
         monkeypatch.setattr(verify_mod, "_lapack", lambda: (failing, failing))
         with pytest.raises(ArithmeticError):
