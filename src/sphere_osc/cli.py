@@ -2,8 +2,8 @@
 
 Every command writes one CSV or JSON table with a fixed column schema and
 17-significant-digit numbers, so identical configurations produce identical
-bytes.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 parameter/domain error.
+bytes on any x86-64 host: numpy's SIMD dispatch is capped at AVX2.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 parameter/domain error.
 """
 
 import argparse
@@ -19,6 +19,10 @@ from itertools import chain
 # Commands import numpy only where they run (`spectrum` never), so this precedes every import.
 if "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# numpy 2.4 picks its exp, log, log1p, tan, arccos and ** kernels by CPU, and the AVX-512 ones
+# round differently.  Capped at AVX2 (X86_V3), every x86-64 host writes the bytes a baseline
+# one does.  The names are 2.4's targets above X86_V3: numpy skips one it does not know.
+os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
 
 from .errors import DomainError, check_int
 from .model import EuclideanParams, OscillatorParams, QuantumNumbers

@@ -127,11 +127,13 @@ class Row(NamedTuple):
 
 
 def _in_process(prelude: str = "", absent: tuple = ()) -> tuple:
-    """`python -c` arguments that run the CLI's main in process after `prelude`.
+    """`python -c` arguments that import the CLI, run `prelude`, then the CLI's main in process.
 
-    The exit code is main's, unless it loaded a module of `absent`: then 1, naming them.
+    The CLI comes first because it sets numpy's dispatch default, which a numpy that a
+    prelude loads would miss.  The exit code is main's, unless it loaded a module of
+    `absent`: then 1, naming them.
     """
-    code = (f"import sys\n{prelude}\nfrom sphere_osc.cli import main\ncode = main(sys.argv[1:])\n"
+    code = (f"import sys\nfrom sphere_osc.cli import main\n{prelude}\ncode = main(sys.argv[1:])\n"
             f"loaded = sorted({set(absent)!r} & set(sys.modules))\n"
             "sys.exit(f'loaded {loaded}' if loaded else code)\n")
     return ("-c", code)
@@ -140,13 +142,13 @@ def _in_process(prelude: str = "", absent: tuple = ()) -> tuple:
 VERIFY_GOLDEN = "verify --dim 3 --w1 5 --w2 2 --levels 4 --lmax 2"
 WAVEFUNCTION_PIN = "wavefunction --dim 3 --w1 5 --w2 2 --ntheta 4 --l 2 --grid"
 EUCLID_LIMIT_PIN = "euclid-limit --dim 3 --chi 1.5 --omega 1 --nr 1 --l 1 --radii 1.5,3,6,12"
+WAVEFUNCTION_PROJECTED = sha256("97493adaddb0cd6b9e961146622375dc8910ec92c254595e45b26756fe6264b5")
+# numpy's dispatch cut to its x86-64 baseline, as on a host without AVX2
+BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"}
 # what `spectrum` and its errors must not load: it forms its levels in plain floats
 SPECTRUM_ABSENT = ("numpy", "dataclasses", "inspect")
 
-# Byte pins: the golden files and the sha256 digests below were taken with numpy 2.4.6 on a
-# host whose numpy dispatches AVX-512. Without that dispatch (NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR") the verify golden, the verify JSON digest and the three wavefunction
-# digests move in their last digits; the spectrum and euclid-limit pins hold (ROADMAP item 15).
+# Byte pins: the golden files and sha256 digests below hold for numpy 2.4.6, x86-64, any dispatch level.
 ROWS = [
     # --- byte pins
     Row("spectrum-golden-free", "spectrum --dim 2 --w1 0 --w2 0 --nmax 1 --lmax 1", 0,
@@ -161,6 +163,8 @@ ROWS = [
     # an explicit BLAS thread count gives the same bytes
     Row("verify-golden-openblas-2-threads", VERIFY_GOLDEN, 0, golden("verify_dim3_w5_2.csv"),
         env={"OPENBLAS_NUM_THREADS": "2"}),
+    # the CLI caps numpy's dispatch at AVX2; a baseline x86-64 host writes the same bytes
+    Row("verify-golden-baseline-simd", VERIFY_GOLDEN, 0, golden("verify_dim3_w5_2.csv"), env=BASELINE_SIMD),
     Row("spectrum-sha256", "spectrum --dim 3 --w1 5 --w2 2 --nmax 200 --lmax 200", 0,
         sha256("d778bb037c7618779a17d9141a1c03ff9cf32c1e47aee327ca95a73bf21bd504")),
     Row("spectrum-json-sha256", "spectrum --dim 3 --w1 5 --w2 2 --nmax 30 --lmax 20 --format json", 0,
@@ -169,11 +173,12 @@ ROWS = [
     Row("spectrum-json-chunks", "spectrum --dim 3 --w1 5 --w2 2 --nmax 120 --lmax 120 --format json", 0,
         sha256("bb2625cc4fec42a7e4c2088cb1d796464d5254ba07532a686d51774eb7e06412")),
     Row("wavefunction-sha256", f"{WAVEFUNCTION_PIN} 2000", 0,
-        sha256("af2bc0b282b3bc406d0e95713fcbc1837e12650f08355995da3adaa876dd4676")),
-    Row("wavefunction-projected-sha256", f"{WAVEFUNCTION_PIN} 2000 --projected", 0,
-        sha256("4f2c6ee7f8b87a4e9afeae98761c451567417fcd83afdc6a9bb8d32e52ec4c73")),
+        sha256("b331de374f6e2629cd846e7bf537b120e11cf8ee03659e87de48fb55b8cf0b58")),
+    Row("wavefunction-projected-sha256", f"{WAVEFUNCTION_PIN} 2000 --projected", 0, WAVEFUNCTION_PROJECTED),
+    Row("wavefunction-projected-baseline-simd", f"{WAVEFUNCTION_PIN} 2000 --projected", 0,
+        WAVEFUNCTION_PROJECTED, env=BASELINE_SIMD),
     Row("wavefunction-projected-json-chunks", f"{WAVEFUNCTION_PIN} 20000 --projected --format json", 0,
-        sha256("efba11fee88212b0a5b11cc9f4039eb321f76667ba0f77a062e05db19c5a86a9")),
+        sha256("5b16c28b96c4b46cb35aa2c67270669c911a0438dca7bbf4048a505217620b3d")),
     # list columns (floats, None, strings) rather than arrays
     Row("euclid-limit-sha256", EUCLID_LIMIT_PIN, 0,
         sha256("2e9c18dc26b6f2d2d8b6bed23b94c5e0741e6da0c542e11c902ee853f78cef64")),
@@ -181,7 +186,7 @@ ROWS = [
         sha256("62a54ce40b63103ddd6819c6bf602ce0b65390e76ce8f779011b23f0329c4ca1")),
     # list columns (bools among them) through the same row template
     Row("verify-json", VERIFY_GOLDEN + " --format json", 0,
-        sha256("fe91125080d8d48b3be3c7f5a18ce21d17a650fed1916dbaf51595cb5abae8a1")),
+        sha256("db873f172609f26ae44b840e0dd52833c08623bf1f0f269962701e45e88bb287")),
 
     # --- what each command loads, in a fresh interpreter
     # the package loads numpy lazily

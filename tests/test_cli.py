@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -323,25 +324,49 @@ def test_run_freezes_the_gc_before_exit(args, code):
     assert run_err == main_err and (run_hook, main_hook) == ("frozen: True", "frozen: False")
 
 
-def _env_without_thread_vars(**extra):
-    # in-process tests import cli, which sets OPENBLAS_NUM_THREADS in this very environment
+def _env_without_cli_defaults(**extra):
+    # in-process tests import cli, which sets its defaults in this very environment
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")}
     return {**env, **extra}
 
 
-@pytest.mark.parametrize("code, extra, expected", [
-    ("import sphere_osc.cli", {}, "1"),
-    ("import sphere_osc.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
-    ("import sphere_osc.cli", {"OMP_NUM_THREADS": "2"}, "None"),
-    ("import sphere_osc; sphere_osc.eval_F", {}, "None"),
-], ids=["cli-default", "explicit-kept", "omp-kept", "library-untouched"])
-def test_openblas_thread_default(code, extra, expected):
-    probe = f"{code}; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-    res = subprocess.run([sys.executable, "-c", probe], env=_env_without_thread_vars(**extra),
+@pytest.mark.parametrize("code, extra, var, expected", [
+    ("import sphere_osc.cli", {}, "OPENBLAS_NUM_THREADS", "1"),
+    ("import sphere_osc.cli", {"OPENBLAS_NUM_THREADS": "3"}, "OPENBLAS_NUM_THREADS", "3"),
+    ("import sphere_osc.cli", {"OMP_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS", "None"),
+    ("import sphere_osc; sphere_osc.eval_F", {}, "OPENBLAS_NUM_THREADS", "None"),
+    # numpy's SIMD dispatch, capped at AVX2 whatever OMP_NUM_THREADS says
+    ("import sphere_osc.cli", {"OMP_NUM_THREADS": "2"}, "NPY_DISABLE_CPU_FEATURES",
+     "X86_V4 AVX512_ICL AVX512_SPR"),
+    ("import sphere_osc.cli", {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, "NPY_DISABLE_CPU_FEATURES", "X86_V4"),
+    ("import sphere_osc.cli", {"NPY_DISABLE_CPU_FEATURES": ""}, "NPY_DISABLE_CPU_FEATURES", ""),
+    ("import sphere_osc; sphere_osc.eval_F", {}, "NPY_DISABLE_CPU_FEATURES", "None"),
+], ids=["cli-default", "explicit-kept", "omp-kept", "library-untouched",
+        "dispatch-cli-default", "dispatch-explicit-kept", "dispatch-empty-kept", "dispatch-library-untouched"])
+def test_openblas_thread_default(code, extra, var, expected):
+    probe = f"{code}; import os; print(os.environ.get({var!r}))"
+    res = subprocess.run([sys.executable, "-c", probe], env=_env_without_cli_defaults(**extra),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == expected
+
+
+# numpy knows each name of the CLI's default, so it skips none with an ImportWarning (an error
+# here), and it leaves no dispatch target above AVX2 (X86_V3) on
+_DISPATCH_PROBE = """
+import sphere_osc.cli
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+above = __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
+assert above and not any(__cpu_features__[t] for t in above), {t: __cpu_features__[t] for t in above}
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="numpy's x86-64 dispatch targets")
+def test_cli_caps_numpy_dispatch_at_avx2():
+    res = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", _DISPATCH_PROBE],
+                         env=_env_without_cli_defaults(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 _POOL_PROBE = """
@@ -363,7 +388,7 @@ def test_openblas_pool_has_one_thread():
     if not libs or not hasattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy does not bundle a scipy-openblas64 library")
     res = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(libs[0])],
-                         env=_env_without_thread_vars(), capture_output=True, text=True)
+                         env=_env_without_cli_defaults(), capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "1"
 
