@@ -1,9 +1,11 @@
 """Command-line surface: spectra, wavefunction grids, verification, limit scans.
 
 Every command writes one CSV or JSON table with a fixed column schema and
-17-significant-digit numbers, so identical configurations produce identical
-bytes on any x86-64 host: numpy's SIMD dispatch is capped at AVX2.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 parameter/domain error.
+17-significant-digit numbers, so under one numpy release identical
+configurations produce identical bytes on any x86-64 host: numpy's SIMD
+dispatch is capped at AVX2.  Another release may round some last bits
+differently.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 parameter/domain error.
 """
 
 import argparse

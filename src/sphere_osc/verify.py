@@ -11,7 +11,7 @@ Both tridiagonal eigenproblems go through eigh_tridiagonal, one named LAPACK
 driver each: dsterf for all of a rule's nodes, dstebz bisection for the
 oracle's lowest levels.  Each is called with ctypes in the ILP64 OpenBLAS
 that numpy's wheel bundles, so no command imports scipy; where numpy carries
-none, scipy.linalg solves with the same two drivers.
+none (conda/MKL builds), scipy.linalg solves with the same two drivers.
 """
 
 import ctypes
@@ -84,7 +84,7 @@ def _lapack():
     """(dstebz, dsterf) of the ILP64 scipy-openblas that numpy's wheel bundles, or None.
 
     Resolved through the dependencies of numpy's core extension on the first solve, never at
-    import; where numpy carries no such library (conda/MKL builds, numpy 1.x) scipy solves.
+    import; where numpy carries no such library (conda/MKL builds) scipy solves.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)

@@ -24,14 +24,17 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
 import time
+from importlib import metadata
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 TESTS = Path(__file__).resolve().parent
+CONSTRAINTS = TESTS.parent / "constraints.txt"
 MODULE = [sys.executable, "-m", "sphere_osc"]
 MUTANTS = str(TESTS / "mutants.py")
 TIMEOUT_S = 300
@@ -148,7 +151,8 @@ BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SP
 # what `spectrum` and its errors must not load: it forms its levels in plain floats
 SPECTRUM_ABSENT = ("numpy", "dataclasses", "inspect")
 
-# Byte pins: the golden files and sha256 digests below hold for numpy 2.4.6, x86-64, any dispatch level.
+# Byte pins: the golden files and sha256 digests below hold for the numpy of constraints.txt,
+# x86-64, any dispatch level.
 ROWS = [
     # --- byte pins
     Row("spectrum-golden-free", "spectrum --dim 2 --w1 0 --w2 0 --nmax 1 --lmax 1", 0,
@@ -375,6 +379,28 @@ def broken(row: Row, command: list[str]) -> list[str]:
     return problems
 
 
+def pins() -> list[tuple[str, str, str]]:
+    """Each requirement line of constraints.txt, split at its first `==`: (name, "==", version)."""
+    lines = (line.partition("#")[0].strip() for line in CONSTRAINTS.read_text().splitlines())
+    return [line.partition("==") for line in lines if line]
+
+
+def runtime() -> str:
+    """This interpreter's Python, numpy and scipy; where one is not the pinned release, that
+    the byte pins were taken on the pinned one."""
+    pinned = {name: version for name, _, version in pins()}
+    versions = {}
+    for name in ("numpy", "scipy"):
+        try:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
+            versions[name] = "absent"
+    named = ", ".join(f"{name} {version}" for name, version in versions.items())
+    off = [f"{name} {pinned.get(name)}" for name, version in versions.items() if version != pinned.get(name)]
+    return (f"Python {platform.python_version()}, {named}"
+            + (f"; the byte pins were taken on {' and '.join(off)} (constraints.txt)" if off else ""))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the sphere-osc CLI contract table.")
     parser.add_argument("--exe", help="the console script to run (default: python -m sphere_osc)")
@@ -389,7 +415,7 @@ def main(argv=None) -> int:
         print(f"{'FAIL' if problems else 'ok  '} {row.id}  {time.perf_counter() - row_start:.2f} s",
               *(f"     {p}" for p in problems), sep="\n", flush=True)
     print(f"{len(ROWS) - failed} of {len(ROWS)} rows kept the contract in "
-          f"{time.perf_counter() - start:.1f} s")
+          f"{time.perf_counter() - start:.1f} s on {runtime()}")
     return 1 if failed else 0
 
 

@@ -32,6 +32,22 @@ def test_contract(row):
     assert cli_contract.broken(row, CLI) == []
 
 
+def test_contract_summary_names_the_runtime(monkeypatch, capsys, tmp_path):
+    # on the pinned runtime the summary names it; on another it says what the pins were taken on
+    import scipy
+    constraints = tmp_path / "constraints.txt"
+    monkeypatch.setattr(cli_contract, "CONSTRAINTS", constraints)
+    monkeypatch.setattr(cli_contract, "ROWS", [])
+    runtime = f"Python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}"
+    constraints.write_text(f"# this runtime\nnumpy=={np.__version__}\nscipy=={scipy.__version__}\n")
+    assert cli_contract.main([]) == 0
+    assert capsys.readouterr().out.endswith(f" on {runtime}\n")
+    constraints.write_text("numpy==1.0\nscipy==1.0  # other releases\n")
+    assert cli_contract.main([]) == 0
+    assert capsys.readouterr().out.endswith(
+        f" on {runtime}; the byte pins were taken on numpy 1.0 and scipy 1.0 (constraints.txt)\n")
+
+
 def parse_csv(text):
     lines = text.splitlines()
     header = lines[0].split(",")
