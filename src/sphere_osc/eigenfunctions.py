@@ -127,11 +127,11 @@ def log_abs_F_rows(params: OscillatorParams, L: int, n_max: int, thetas, n_min: 
     mu1, mu2, e0, e1 = _exponents(params, L)
     sin_term, cos_term = _envelope_terms(e0, e1, th)
     polys = special.jacobi_sweep(n_max, JacobiParams(mu2, mu1), np.cos(th))
-    for n, poly in enumerate(polys):
+    for n, (poly, shift) in enumerate(polys):
         if n >= n_min:
             log_norm = _log_norm(params, n, mu1, mu2)
             with np.errstate(divide="ignore"):
-                log_abs = log_norm + sin_term + cos_term + np.log(np.abs(poly))
+                log_abs = log_norm + sin_term + cos_term + (np.log(np.abs(poly)) + shift * _LOG2)
             yield log_abs, np.sign(poly)
 
 
@@ -179,9 +179,9 @@ def eval_f_euclidean(eparams: EuclideanParams, n_r: int, L: int, r):
         x = scale * rs * rs
         values = np.where(x > 0.0, 0.0, _endpoint_value(e, log_norm + log_poly0, 1.0))
         live = np.flatnonzero((x > 0.0) & (x < math.inf))
-        envelope = np.exp(log_norm + e * np.log(x[live]) - 0.5 * x[live])
-    # where the envelope underflows to 0 the Laguerre factor may overflow: f is 0 there
-    live, envelope = live[envelope > 0.0], envelope[envelope > 0.0]
-    values[live] = envelope * special.laguerre_eval(n_r, lam + 0.5, x[live])
+        poly, shift = special.laguerre_eval(n_r, lam + 0.5, x[live])
+        envelope = np.exp(log_norm + e * np.log(x[live]) - 0.5 * x[live] + shift * _LOG2)
+    # where the envelope underflows f is +0, whatever the sign of the Laguerre factor
+    values[live] = np.where(envelope > 0.0, envelope * poly, 0.0)
     check_envelope("f", np.abs(values).max(initial=0.0), np.finfo(float).max)
     return _like(values, r)

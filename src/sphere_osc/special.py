@@ -1,17 +1,20 @@
 """Classical special functions the closed-form solutions are built from.
 
-Polynomial values come from three-term recurrences in the degree, which is
-the right tool here: degrees stay small while the weight exponents, bounded
-by the callers at eigenfunctions.MAX_MU, can get large.  Every normalization
-constant is assembled in log-gamma space and exponentiated last, so nothing
-overflows before it has to.
+Polynomial values come from three-term recurrences in the degree, with the
+weight exponents bounded by the callers at eigenfunctions.MAX_MU.  The
+polynomials grow like binom(n + alpha, n), far past the double range while
+the normalized functions stay of order one, so each value is carried as
+p 2^shift with an integer shift per point; _rescale is the one overflow
+policy (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM
+2007, ch. 4).  Every normalization constant is assembled in log-gamma space
+and exponentiated last, so nothing overflows before it has to.
 """
 
 import math
 
 import numpy as np
 
-from .errors import RangeError, check_int, check_range, check_real
+from .errors import check_envelope, check_int, check_range, check_real
 from .model import Record
 
 
@@ -40,54 +43,84 @@ def log_gamma(x: float) -> float:
         return math.inf
 
 
-def jacobi_sweep(n: int, params: JacobiParams, x):
-    """Yield P_0, ..., P_n^(alpha,beta)(x) in turn from the three-term recurrence in the degree.
+# Bound on the products of one recurrence step: a sweep rescales a point first where its live
+# terms times a bound on the sweep's coefficients could pass it, and nowhere else.
+_STEP_LIMIT = 2.0**1023
 
-    P_n grows like binom(n + alpha, n): a row that overflows the double range raises RangeError.
+
+def _rescale(shift, rows, squares=(), to=None, limit=0.0):
+    """(to, rows 2^(shift - to), squares 2^(2 (shift - to))): rows worth rows 2^shift, and sums of
+    their squares, carried at the integer shift `to` instead; exact unless a row leaves the normal range.
+
+    A given `to` is the plain realignment np.ldexp(row, shift - to), which brings several sweeps to
+    one shift.  Otherwise `to` is chosen per point: where the point's scale passes `limit` it is the
+    binary exponent of that scale, else `shift` itself.  The scale is the point's largest |row|, or,
+    given squares, the first square with its exponent halved, so that the rows stay near 1 either way.
+    """
+    if to is None:
+        lead, root = (squares[0], 2) if squares else (np.maximum.reduce([np.abs(row) for row in rows]), 1)
+        to = shift + np.where(lead > limit, np.frexp(lead)[1] // root, 0)
+    e = to - shift
+    return to, [np.ldexp(row, -e) for row in rows], [np.ldexp(sq, -2 * e) for sq in squares]
+
+
+def jacobi_sweep(n: int, params: JacobiParams, x):
+    """Yield P_0, ..., P_n^(alpha,beta)(x) in turn from the three-term recurrence, each as (p, shift).
+
+    P_k = p 2^shift, with an integer array shift shaped like x: 0 until _rescale acts at a point.
     """
     n = check_int("degree", n, 0)
     xa = check_range("x", np.asarray(x, dtype=float), -1.0, 1.0)
     a, b = params.alpha, params.beta
-    p = np.ones_like(xa)
-    yield p
+    p, shift = np.ones_like(xa), np.zeros(xa.shape, dtype=int)
+    yield p, shift
     if n >= 1:
         pm1 = p
         p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * xa
-        yield p
+        yield p, shift
+        s = 2.0 * max(n, 2) + a + b  # |c2| + c3 <= 2.5 s^3 over |x| <= 1, and s grows with k
+        limit = _STEP_LIMIT / (2.5 * s**3)
         for k in range(2, n + 1):
             s = 2.0 * k + a + b
             c1 = 2.0 * k * (k + a + b) * (s - 2.0)
             c2 = (s - 1.0) * (s * (s - 2.0) * xa + (a - b) * (a + b))
             c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
-                p, pm1 = (c2 * p - c3 * pm1) / c1, p
-            if not np.isfinite(p).all():
-                raise RangeError(f"P_{k}^({a:g}, {b:g}) overflows the double range")
-            yield p
+            if np.abs(p).max(initial=0.0) > limit:
+                shift, (p, pm1), _ = _rescale(shift, (p, pm1), limit=limit)
+            p, pm1 = (c2 * p - c3 * pm1) / c1, p
+            yield p, shift
 
 
 def jacobi_eval(n: int, params: JacobiParams, x):
-    """Jacobi polynomial P_n^(alpha,beta)(x) on [-1, 1], the last term of jacobi_sweep.
+    """Jacobi polynomial P_n^(alpha,beta)(x) on [-1, 1], the last row of jacobi_sweep.
 
-    `x` may be a scalar or an array.
+    `x` may be a scalar or an array.  A value past the largest double raises RangeError.
     """
-    for p in jacobi_sweep(n, params, x):
+    for p, shift in jacobi_sweep(n, params, x):
         pass
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        _, (p,), _ = _rescale(shift, (p,), to=0)
+    check_envelope(f"P_{n}", np.abs(p).max(initial=0.0), np.finfo(float).max)
     return float(p) if np.ndim(x) == 0 else p
 
 
 def laguerre_eval(n: int, a: float, x):
-    """Generalized Laguerre polynomial L_n^(a)(x) for x >= 0 via its recurrence."""
+    """Generalized Laguerre polynomial L_n^(a)(x) for x >= 0 via its recurrence, as (p, shift).
+
+    L_n = p 2^shift, with an integer shift per point: 0 unless _rescale acted there.  For a scalar
+    x the pair is (float, int), else two arrays shaped like x.
+    """
     n = check_int("degree", n, 0)
     check_real("a", a, -1.0, strict=True)
     xa = check_range("x", np.asarray(x, dtype=float), 0.0, math.inf)
-    p = np.ones_like(xa)
-    if n >= 1:
-        pm1 = p
-        p = 1.0 + a - xa
-        for k in range(2, n + 1):
-            p, pm1 = ((2.0 * k - 1.0 + a - xa) * p - (k - 1.0 + a) * pm1) / k, p
-    return float(p) if np.ndim(x) == 0 else p
+    # |2k - 1 + a - x| + |k - 1 + a| at each point, bounded over k <= n
+    limit = _STEP_LIMIT / (3.0 * (n + 1) + 2.0 * abs(a) + xa)
+    p, pm1, shift = np.ones_like(xa), np.zeros_like(xa), np.zeros(xa.shape, dtype=int)
+    for k in range(1, n + 1):
+        if (np.abs(p) > limit).any():
+            shift, (p, pm1), _ = _rescale(shift, (p, pm1), limit=limit)
+        p, pm1 = ((2.0 * k - 1.0 + a - xa) * p - (k - 1.0 + a) * pm1) / k, p
+    return (float(p), int(shift)) if np.ndim(x) == 0 else (p, shift)
 
 
 def jacobi_log_endpoint(n: int, params: JacobiParams) -> float:

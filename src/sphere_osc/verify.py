@@ -177,18 +177,16 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np
     )
     off = np.sqrt(bsq)
     nodes = eigh_tridiagonal(diag, off)
-    # b_(j+1) p_(j+1) = (x - a_j) p_j - b_j p_(j-1); after each step the sum and
-    # the two live terms are scaled by exact powers of two, so nothing overflows
+    # b_(j+1) p_(j+1) = (x - a_j) p_j - b_j p_(j-1); after each step the two live terms
+    # are p 2^shift and the sum total 2^(2 shift), rescaled so that nothing overflows
     p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
     shift, b_prev = np.zeros(n, dtype=int), 0.0
     for a_j, b_j in zip(diag, off):
         p_prev, p = p, ((nodes - a_j) * p - b_prev * p_prev) / b_j
         b_prev = b_j
         total += p * p
-        half = np.frexp(total)[1] // 2
-        p_prev, p, total = np.ldexp(p_prev, -half), np.ldexp(p, -half), np.ldexp(total, -2 * half)
-        shift += 2 * half
-    return nodes, log_mu0 - np.log(total) - shift * _LOG2
+        shift, (p_prev, p), (total,) = special._rescale(shift, (p_prev, p), (total,))
+    return nodes, log_mu0 - np.log(total) - 2 * shift * _LOG2
 
 
 def _measure_log(params: OscillatorParams, x: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
@@ -245,13 +243,16 @@ def ode_residual(params: OscillatorParams, L: int, levels) -> np.ndarray:
     mu1, mu2, e0, e1 = eigenfunctions._exponents(params, L)
     th = _ODE_GRID
     n_max, x = check_int("len(levels)", len(levels), 1) - 1, np.cos(th)
-    # a sweep row that overflows raises RangeError; a term that overflows (P_n grows like
-    # binom(n + mu, n)) makes its residual NaN, rejected below
+    # a term that overflows makes its residual NaN, rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x), zero where n < k
-        p, q1, q2 = (np.pad(list(special.jacobi_sweep(max(n_max - k, 0),
-                                                      JacobiParams(mu2 + k, mu1 + k), x)),
-                            ((k, 0), (0, 0)))[:n_max + 1] for k in range(3))
+        # row n of sweep k: P_(n-k)^(mu2+k, mu1+k)(x) = q 2^shift, zero where n < k
+        zero, sweeps = (np.zeros_like(x), np.zeros(x.shape, dtype=int)), []
+        for k in range(3):
+            rows = [zero] * k + list(special.jacobi_sweep(max(n_max - k, 0), JacobiParams(mu2 + k, mu1 + k), x))
+            sweeps.append([np.array(part) for part in zip(*rows[:n_max + 1])])
+        # every term in units of 2^shift, the largest of the three sweeps' shifts at each point
+        shift = np.maximum.reduce([shifts for _, shifts in sweeps])
+        p, q1, q2 = (special._rescale(shifts, (q,), to=shift)[1][0] for q, shifts in sweeps)
         s = np.arange(n_max + 1)[:, None] + mu1 + mu2 + 1.0
         p_x, p_xx = 0.5 * s * q1, 0.25 * s * (s + 1.0) * q2
         sin_th, tan_half = np.sin(th), np.tan(0.5 * th)
@@ -266,8 +267,8 @@ def ode_residual(params: OscillatorParams, L: int, levels) -> np.ndarray:
                  (params.N - 1.0) / np.tan(th) * (g_t * p + p_t), -u_pot * p, eps * p]
         log_env = sum(eigenfunctions._envelope_terms(e0, e1, th))
         # the floor is inf where the envelope is negligible against max|F|: that point weighs nothing
-        log_max = np.max(log_env + np.log(np.abs(p)), axis=1, keepdims=True)
-        floor = np.maximum(1.0, np.abs(eps)) * np.exp(log_max - log_env)
+        log_max = np.max(log_env + (np.log(np.abs(p)) + shift * _LOG2), axis=1, keepdims=True)
+        floor = np.maximum(1.0, np.abs(eps)) * np.exp(log_max - log_env - shift * _LOG2)
         scale = np.maximum.reduce([np.abs(t) for t in terms] + [floor])
         residuals = np.max(np.abs(sum(terms)) / scale, axis=1)
     check_envelope("ODE residual", residuals.max(), np.finfo(float).max)

@@ -5,9 +5,11 @@ plain-float route must match it bit for bit.  The product forms of the
 energy levels cancel terms of size w^2/4, so the package returns the
 expanded forms and the tests compare the two.  The terminating
 hypergeometric series and the Jacobi norm check the recurrences and the
-quadrature rule.  The mpmath eigenfunctions (half-angle, projected
-in r, and the Gegenbauer form of the symmetric trap) check eval_F and
-project_to_plane, and the mpmath flat radial function eval_f_euclidean.
+quadrature rule, and the mpmath log magnitudes of P_n^(a,b) and L_n^(a) the
+rescaled rows where the polynomial passes the largest double.  The mpmath
+eigenfunctions (half-angle, projected in r, and the Gegenbauer form of the
+symmetric trap) check eval_F and project_to_plane, and the mpmath flat
+radial function eval_f_euclidean.
 The potential, the mirrored trap and the overlap matrix are the model's
 symmetries and the quadrature's orthogonality, which only the tests ask for.
 """
@@ -148,6 +150,18 @@ def jacobi_log_norm_sq(n: int, params: JacobiParams) -> float:
         - math.log(2.0 * n + a + b + 1.0)
         - log_gamma(n + a + b + 1.0)
     )
+
+
+def mp_log_abs_jacobi(n: int, a: float, b: float, x: float) -> float:
+    """log|P_n^(a,b)(x)| in mpmath: finite where P_n itself passes the largest double."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(abs(mpmath.jacobi(n, a, b, x))))
+
+
+def mp_log_abs_laguerre(n: int, a: float, x: float) -> float:
+    """log|L_n^(a)(x)| in mpmath: finite where L_n itself passes the largest double."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(abs(mpmath.laguerre(n, a, x))))
 
 
 def _mp_state(N: int, n: int, L: int, w1: float, w2: float):

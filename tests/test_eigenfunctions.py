@@ -317,24 +317,41 @@ class TestEuclideanRadial:
             worst = max(worst, abs(resid) / scale)
         assert worst <= 1e-8, f"worst residual {worst:.2e}"
 
-    @pytest.mark.parametrize("n_r", [0, 5, 40])
-    def test_against_mpmath_at_the_envelope_edge(self, n_r):
-        # chi = 999: lambda + 1/2 = hypot(1/2, 999) is just inside MAX_MU
-        ep = EuclideanParams(N=3, omega=1.0, chi=999.0)
+    @pytest.mark.parametrize("chi, n_r, r_min, radii", [
+        pytest.param(999.0, 0, 0.0, (), id="0"),
+        pytest.param(999.0, 5, 0.0, (), id="5"),
+        pytest.param(999.0, 40, 0.0, (), id="40"),
+        # L_n^(a)(r^2) passed the largest double at 37.8, 38 and 38.5: two RuntimeWarnings, then
+        # f = nan raised RangeError; at 39.5 e^(-r^2/2) underflowed and f read 0, not 0.0025
+        pytest.param(1.5, 500, 0.5, (37.8,), id="chi1.5-500"),
+        pytest.param(1.5, 2000, 0.5, (38.0, 38.5, 39.5), id="chi1.5-2000"),
+    ])
+    def test_against_mpmath_at_the_envelope_edge(self, chi, n_r, r_min, radii):
+        # chi = 999: lambda + 1/2 = hypot(1/2, 999) is just inside MAX_MU.  At chi = 1.5 and
+        # n_r = 2000, r < 0.5 reads up to 4.5e-11 of max|f|, as before the rescale
+        ep = EuclideanParams(N=3, omega=1.0, chi=chi)
         grid = np.linspace(0.0, 60.0, 6001)[1:]
+        grid = grid[grid >= r_min]
         f = eval_f_euclidean(ep, n_r, 0, grid)
-        scale = abs(mp_eval_f_euclidean(3, n_r, 0, 999.0, float(grid[np.argmax(np.abs(f))])))
+        scale = abs(mp_eval_f_euclidean(3, n_r, 0, chi, float(grid[np.argmax(np.abs(f))])))
         support = grid[np.abs(f) > 1e-3 * np.max(np.abs(f))]
-        for r in np.linspace(support[0], support[-1], 11):
-            assert abs(eval_f_euclidean(ep, n_r, 0, r) - mp_eval_f_euclidean(3, n_r, 0, 999.0, r)) \
+        for r in [*np.linspace(support[0], support[-1], 11), *radii]:
+            assert abs(eval_f_euclidean(ep, n_r, 0, r) - mp_eval_f_euclidean(3, n_r, 0, chi, r)) \
                 <= 1e-11 * scale, f"r={r}"
 
-    def test_far_radius_is_zero(self):
-        # (m omega / hbar) r^2 overflows, or the Laguerre factor does where the Gaussian
-        # has underflowed: 0, with no warning (pytest makes a RuntimeWarning an error)
+    def test_tail_where_the_gaussian_factor_underflows(self):
+        # e^(-x/2) with x = 38.9^2 underflows to 0 while L_300(x) is about 1e339: f read 0 before
         ep = EuclideanParams(N=3, omega=1.0, chi=1.5)
-        assert eval_f_euclidean(ep, 0, 0, 1e200) == 0.0
-        assert eval_f_euclidean(ep, 2, 0, 1e80) == 0.0
+        want = mp_eval_f_euclidean(3, 300, 0, 1.5, 38.9)
+        assert abs(eval_f_euclidean(ep, 300, 0, 38.9) - want) <= 1e-11 * abs(want)
+
+    def test_far_radius_is_zero(self):
+        # (m omega / hbar) r^2 overflows, or the Gaussian underflows: +0, with no warning
+        # (pytest makes a RuntimeWarning an error)
+        ep = EuclideanParams(N=3, omega=1.0, chi=1.5)
+        for n_r, r in [(0, 1e200), (2, 1e80), (3, 1e80)]:  # L_3 < 0 there
+            f = eval_f_euclidean(ep, n_r, 0, r)
+            assert f == 0.0 and math.copysign(1.0, f) == 1.0, (n_r, r)
 
     def test_overflow_rejected(self):
         # (m omega / hbar)^(N/4) in the normalization overflows, where it used to warn

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracle_forms import hyp2f1_terminating, jacobi_log_norm_sq
+from oracle_forms import hyp2f1_terminating, jacobi_log_norm_sq, mp_log_abs_jacobi, mp_log_abs_laguerre
 from sphere_osc.errors import DomainError, RangeError
 from sphere_osc.special import (
     JacobiParams,
@@ -15,6 +15,10 @@ from sphere_osc.special import (
     log_gamma,
 )
 from sphere_osc.verify import gauss_jacobi_rule
+
+
+# log of the largest double
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 def rel(a, b):
@@ -115,8 +119,9 @@ class TestJacobi:
         p = JacobiParams(4.3, 1.7)
         rows = list(jacobi_sweep(6, p, xs))
         assert len(rows) == 7
-        for n, row in enumerate(rows):
+        for n, (row, shift) in enumerate(rows):
             assert np.array_equal(row, jacobi_eval(n, p, xs))
+            assert shift.shape == xs.shape and not shift.any()
         with pytest.raises(DomainError):
             list(jacobi_sweep(2, p, [0.5, 1.5]))
 
@@ -129,12 +134,26 @@ class TestJacobi:
             JacobiParams(-1.0, 0.0)
 
     def test_overflowing_row_raises(self):
-        # P_n^(999,999)(1) = binom(n + 999, n) is 3e297 at n = 291; the recurrence's
-        # products pass the largest double from n = 293 (inf - inf gave nan before)
+        # P_n^(999,999)(1) = binom(n + 999, n) passes the largest double at n = 308; the
+        # rescaled sweep reaches it (its products overflowed from n = 293 before)
         p = JacobiParams(999.0, 999.0)
-        assert math.isfinite(jacobi_eval(292, p, 1.0))
-        with pytest.raises(RangeError):
-            jacobi_eval(293, p, 1.0)
+        for n in (292, 293, 307):
+            assert rel(jacobi_eval(n, p, 1.0), math.exp(jacobi_log_endpoint(n, p))) <= 1e-11
+        with pytest.raises(RangeError, match="P_308=inf"):
+            jacobi_eval(308, p, 1.0)
+
+    @pytest.mark.parametrize("n, a, b, xs", [
+        (600, 999.0, 999.0, (-0.9, 0.8)),
+        (600, 998.0, 0.0, (0.8, 0.95)),
+        (1000, 999.0, 999.0, (-0.7, 0.9)),
+    ])
+    def test_rows_past_the_double_range(self, n, a, b, xs):
+        # the row is p 2^shift: its log magnitude against mpmath where P_n itself overflows
+        for p, shift in jacobi_sweep(n, JacobiParams(a, b), np.array(xs)):
+            pass
+        for x, got in zip(xs, np.log(np.abs(p)) + shift * math.log(2.0)):
+            want = mp_log_abs_jacobi(n, a, b, x)
+            assert want > LOG_MAX and abs(got - want) <= 1e-12 * want, f"x={x}"
 
 
 class TestHyp2F1:
@@ -197,11 +216,24 @@ class TestGegenbauer:
 
 class TestLaguerre:
     def test_trivial(self):
-        assert laguerre_eval(0, 2.5, 1.0) == 1.0
-        assert rel(laguerre_eval(1, 2.5, 1.0), 2.5) <= 1e-15
+        # a scalar x gives a (float, int) pair, as jacobi_eval gives a float
+        p, shift = laguerre_eval(0, 2.5, 1.0)
+        assert (type(p), type(shift)) == (float, int) and (p, shift) == (1.0, 0)
+        p, shift = laguerre_eval(1, 2.5, 1.0)
+        assert rel(p, 2.5) <= 1e-15 and shift == 0
 
     def test_frozen_value(self):
-        assert rel(laguerre_eval(2, 1.3, 0.7), 1.73) <= 1e-12
+        assert rel(laguerre_eval(2, 1.3, 0.7)[0], 1.73) <= 1e-12
+
+    # at x = 1e300 each step multiplies the row by about x, so each rescales it
+    @pytest.mark.parametrize("n, a, xs", [(2000, 2.0, (1500.0, 1e4)), (500, 999.5, (3e3, 1e6)),
+                                          (50, 0.5, (1e300, 1.5e308))])
+    def test_rows_past_the_double_range(self, n, a, xs):
+        # L_n^(a)(x) = p 2^shift: its log magnitude against mpmath where L_n itself overflows
+        p, shift = laguerre_eval(n, a, np.array(xs))
+        for x, got in zip(xs, np.log(np.abs(p)) + shift * math.log(2.0)):
+            want = mp_log_abs_laguerre(n, a, x)
+            assert want > LOG_MAX and abs(got - want) <= 1e-12 * want, f"x={x}"
 
     def test_jacobi_limit_slope(self):
         # P_n^(a, beta)(1 - 2x/beta) -> L_n^(a)(x); error must shrink like 1/beta
@@ -210,7 +242,7 @@ class TestLaguerre:
         betas = np.geomspace(1e2, 1e5, 7)
         errs = []
         for beta in betas:
-            lag = laguerre_eval(n, a, xs)
+            lag = laguerre_eval(n, a, xs)[0]
             jac = jacobi_eval(n, JacobiParams(a, float(beta)), 1.0 - 2.0 * xs / beta)
             errs.append(float(np.max(np.abs(jac - lag))))
         slope = np.polyfit(np.log(betas), np.log(errs), 1)[0]

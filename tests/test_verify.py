@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from mutants import MUTANTS
-from oracle_forms import jacobi_log_norm_sq, overlap_matrix
+from oracle_forms import jacobi_log_norm_sq, mp_eval_F, overlap_matrix
 from sphere_osc import cli
 from sphere_osc import verify as verify_mod
 from sphere_osc.eigenfunctions import (
@@ -175,10 +175,11 @@ class TestNormalization:
                 got = normalization_check(p, L, n)[n]
                 assert abs(got - 1.0) <= 1e-10, f"N={N} w=({w1},{w2}) state=({n},{L})"
 
-    @pytest.mark.parametrize("w1, w2, n", [(999.0, 999.0, 445), (300.0, 0.0, 800)],
-                             ids=["w999_999-n445", "w300_0-n800"])
+    @pytest.mark.parametrize("w1, w2, n", [(999.0, 999.0, 445), (300.0, 0.0, 800), (999.0, 999.0, 1999)],
+                             ids=["w999_999-n445", "w300_0-n800", "w999_999-n1999"])
     def test_accepted_where_F_squared_overflows(self, w1, w2, n):
-        # F^2 times the measure overflowed before the tiny weight could scale it: RangeError
+        # F^2 times the measure overflowed before the tiny weight could scale it: RangeError.
+        # n = 1999, at the rule-size cap, is past where F's Jacobi sweep overflowed
         p = OscillatorParams.from_couplings(3, w1, w2)
         assert abs(normalization_check(p, 0, n)[n] - 1.0) <= 1e-10
 
@@ -315,8 +316,8 @@ class TestOdeResidual:
 
     def test_derivative_sweeps_stop_at_their_last_row(self):
         # the unused rows P_n^(mu+1) (first block) and P_(n-1)^(mu+2) (second block,
-        # where P_n^(mu+1) stays finite) overflow on the grid while every row the
-        # residual takes stays finite
+        # where P_n^(mu+1) stays finite) passed the largest double on the grid while
+        # every row the residual takes stayed finite; the sweeps stop before them
         for (w, n) in [(999.0, 293), (300.0, 957)]:
             p = OscillatorParams.from_couplings(3, w, w)
             assert ode_residual(p, 0, closed_form_levels(p, 0, n))[n] <= 1e-8
@@ -510,7 +511,7 @@ class TestNodeCount:
 
     def test_grid_is_capped(self, monkeypatch):
         # 50 points a state would give 601 states 30 050 points: the grid stops at the cap,
-        # where the sweep of n_theta = 600 still overflows
+        # where the sweep of n_theta = 600 is rescaled and still counts every node
         import sphere_osc.eigenfunctions as ef
         original, sizes = ef.log_abs_F_rows, []
 
@@ -519,8 +520,7 @@ class TestNodeCount:
             yield from original(params, L, n_max, thetas, n_min)
 
         monkeypatch.setattr(ef, "log_abs_F_rows", recorded)
-        with pytest.raises(RangeError):
-            node_count(W999_999, 0, 600)
+        assert node_count(W999_999, 0, 600) == list(range(601))
         assert node_count(W999_999, 0, 19) == list(range(20))
         assert sizes == [MAX_GRID_POINTS, math.ceil(100.0 * math.sqrt(mu(W999_999, 0, 1)))]
 
@@ -772,6 +772,7 @@ class TestExtrapolatedOracle:
 W5_2 = OscillatorParams.from_couplings(3, 5.0, 2.0)
 W2000 = OscillatorParams.from_couplings(3, 2000.0, 2.0)  # mu_1 = 2000 > MAX_MU
 W999_999 = OscillatorParams.from_couplings(3, 999.0, 999.0)
+SIXTHS = np.arange(1, 6) * math.pi / 6.0
 FLAT = EuclideanParams(N=3, omega=1.0, chi=1.5)
 W2_2 = OscillatorParams.from_couplings(3, 2.0, 2.0)
 W5_0 = OscillatorParams.from_couplings(3, 5.0, 0.0)
@@ -779,7 +780,10 @@ HUGE = 10**400  # an integer no double can hold
 
 
 class TestInputValidation:
-    """Each input outside the accepted domain or envelope raises DomainError or RangeError."""
+    """Each input outside the accepted domain or envelope raises DomainError or RangeError.
+
+    Inputs whose polynomial factor alone passes the largest double are inside it.
+    """
 
     @pytest.mark.parametrize("call, error", [
         (lambda: spectrum_table(W5_2, 1.5, 0), DomainError),
@@ -821,13 +825,6 @@ class TestInputValidation:
         (lambda: theta_from_r(1.0, np.array([1.0, math.nan])), DomainError),
         # a level count past 1e308 is inf as a float, not an OverflowError
         (lambda: spectrum_table(W5_2, 10**200, 10**200), RangeError),
-        # P_n grows like binom(n + mu, n): at n_theta = 400 its sweep overflows on the grid
-        (lambda: ode_residual(W999_999, 0, closed_form_levels(W999_999, 0, 400)), RangeError),
-        # the Jacobi sweep of n_theta = 600 overflows: before, each warned (the suite's
-        # error::RuntimeWarning filter raises those), then gave F = nan, a nan norm and 5636 nodes
-        (lambda: eval_F(W999_999, QuantumNumbers(600, 0), np.arange(1, 6) * math.pi / 6.0), RangeError),
-        (lambda: normalization_check(W999_999, 0, 600), RangeError),
-        (lambda: node_count(W999_999, 0, 600), RangeError),
     ], ids=["spectrum_table-float-nmax", "fd_eigensolve-float-k",
             "normalization_check-w2000",
             "verification_report-w2000", "fd_eigensolve-w2000", "gauss_jacobi_rule-beta2000",
@@ -843,11 +840,23 @@ class TestInputValidation:
             "eval_f_euclidean-huge-n_r", "eval_F-array-negative-theta",
             "eval_f_euclidean-array-r-inf", "eval_F-array-nan", "project_to_plane-array-nan",
             "eval_f_euclidean-array-nan", "r_from_theta-array-nan", "theta_from_r-array-nan",
-            "spectrum_table-huge-level-count", "ode_residual-overflow-degree", "eval_F-sweep-overflow",
-            "normalization_check-sweep-overflow", "node_count-sweep-overflow"])
+            "spectrum_table-huge-level-count"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()
+
+    @pytest.mark.parametrize("check", [
+        lambda: ode_residual(W999_999, 0, closed_form_levels(W999_999, 0, 400)).max() <= 1e-8,
+        lambda: np.abs(eval_F(W999_999, QuantumNumbers(600, 0), SIXTHS)
+                       - [mp_eval_F(3, 600, 0, 999.0, 999.0, t) for t in SIXTHS]).max() <= 1e-11,
+        lambda: np.abs(normalization_check(W999_999, 0, 600) - 1.0).max() <= 1e-10,
+        lambda: node_count(W999_999, 0, 600) == list(range(601)),
+    ], ids=["ode_residual-n400", "eval_F-n600", "normalization_check-n600", "node_count-n600"])
+    def test_accepted_past_the_old_sweep_edge(self, check):
+        # P_n grows like binom(n + mu, n): these sweeps passed the largest double and raised
+        # RangeError before they were rescaled (and before that warned, then gave F = nan, a nan
+        # norm and 5636 nodes); F is of order one here, max|F| = 1.93 at n_theta = 600
+        assert check()
 
     @pytest.mark.parametrize("call", [
         lambda n: repr(QuantumNumbers(n, 0)),  # the stored field is a Python int
